@@ -6,15 +6,20 @@ import repro.lake.{LakeIndex, SourceTable, TableRepo}
 
 /** Candidate table retrieval by exact set overlap (paper Algorithms 3–4).
   *
-  * All heavy set arithmetic is two Spark jobs against the
-  * `(table, column, value)` [[LakeIndex]]:
+  * A source costs a fixed number of Spark jobs, whatever the number of
+  * candidates, plus one schema read for each lake table the repo has not
+  * opened yet. Against the `(table, column, value)` [[LakeIndex]]:
   *   1. index ⋈ unpivot(S) on value → per (lake column, source column)
   *      overlap counts;
   *   2. restricted index self-join → pairwise overlap counts between the
-  *      lake columns mapped to the same source column (used by Diversify
-  *      and by subsumed-candidate removal).
-  * The orchestration (greedy column mapping, Diversify's ranking, the
-  * top-k cut) runs on the driver over those small aggregate results.
+  *      lake columns mapped to the same source column (used by Diversify);
+  *   3. restricted index → the distinct-value sizes of those columns.
+  * Then, over the candidate tables themselves: one job per verification
+  * round (at most five per batch; one batch unless candidates fail) and
+  * one job for every survivor's duplicate signature. The source's column
+  * sizes and rows take two more. The orchestration (greedy column
+  * mapping, Diversify's ranking, the top-k cut) runs on the driver over
+  * those small aggregate results.
   */
 object SetSimilarity {
 
@@ -42,6 +47,16 @@ object SetSimilarity {
       .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getLong(3)))
   }
 
+  /** The index rows of the given lake columns only: a `left_semi` join
+    * against a driver-side list of (table, column) keys.
+    */
+  private def restrictTo(
+      index: DataFrame, cols: Set[(String, String)], spark: SparkSession): DataFrame = {
+    import spark.implicits._
+    val keyDf = cols.toSeq.toDF("t", "c")
+    index.join(keyDf, index("table") === keyDf("t") && index("column") === keyDf("c"), "left_semi")
+  }
+
   /** Pairwise overlap counts between the given lake columns, computed via
     * a restricted index self-join. Returns ((t1,c1),(t2,c2)) → |∩|.
     */
@@ -50,10 +65,7 @@ object SetSimilarity {
       cols: Set[(String, String)],
       spark: SparkSession): Map[((String, String), (String, String)), Long] = {
     if (cols.isEmpty) return Map.empty
-    import spark.implicits._
-    val keyDf = cols.toSeq.toDF("t", "c")
-    val restricted = index
-      .join(keyDf, index("table") === keyDf("t") && index("column") === keyDf("c"), "left_semi")
+    val restricted = restrictTo(index, cols, spark)
     val a = restricted.select(col("table").as("t1"), col("column").as("c1"), col("value"))
     val b = restricted.select(col("table").as("t2"), col("column").as("c2"), col("value"))
     a.join(b, "value")
@@ -66,12 +78,14 @@ object SetSimilarity {
 
   /** Column distinct-value sizes for the given lake columns. */
   private[discovery] def columnSizes(
-      index: DataFrame, cols: Set[(String, String)]): Map[(String, String), Long] = {
+      index: DataFrame,
+      cols: Set[(String, String)],
+      spark: SparkSession): Map[(String, String), Long] = {
     if (cols.isEmpty) return Map.empty
-    index.groupBy("table", "column").agg(count("*").as("n"))
+    restrictTo(index, cols, spark).groupBy("table", "column").agg(count("*").as("n"))
       .collect().toIndexedSeq
       .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2))
-      .toMap.filter(kv => cols.contains(kv._1))
+      .toMap
   }
 
   /** Aligned-tuple verification (Algorithm 3, lines 11–14). Column-level
@@ -88,9 +102,14 @@ object SetSimilarity {
     * Mappings below τ are dropped; a candidate left with nothing but its
     * anchor is discarded.
     */
-  private val AnchorSep = ""
+  private val AnchorSep = ""
 
-  /** One verification round.
+  /** Repair rounds per candidate: a failed anchor is banned and the greedy
+    * mapping re-run, at most this many times in all.
+    */
+  private val RepairRounds = 5
+
+  /** The source side of one candidate mapping's verification.
     *
     * The anchor is the set of mapped pairs targeting source *key* columns
     * (a joint, multi-column anchor when the key is composite — aligning
@@ -99,31 +118,29 @@ object SetSimilarity {
     * is mapped, the single pair whose source column has the most distinct
     * values (the strongest evidence).
     *
-    * A non-anchor column *passes* at accuracy ≥ τ, but the candidate is
-    * only accepted if at least one column's accuracy also beats chance
-    * for its cardinality (≥ 2.5/d for d distinct source values): a 2–3
-    * value column (order status…) matches a garbage anchor at chance
-    * level ~1/d ≥ τ, so it can ride along but never *confirm* an anchor.
-    *
-    * Returns (surviving mapping incl. anchor — empty when unconfirmed;
-    * the anchor pairs, to be banned by the caller on failure).
+    * @param checkCols  the non-anchor (lakeCol, srcCol) pairs to verify
+    * @param anchorVals the source's anchor strings
+    * @param pairSets   lakeCol → the source's (anchor, value) pairs of
+    *                   the source column it is mapped to
     */
-  private def verifyOnce(
-      repo: TableRepo,
-      cand: Candidate,
+  private final case class Check(
+      table: String,
+      anchorPairs: Seq[(String, String)],
+      checkCols: Seq[(String, String)],
+      anchorVals: Set[String],
+      pairSets: Map[String, Set[(String, String)]])
+
+  private def check(
+      table: String,
+      mapping: Map[String, String], // lakeCol -> srcCol
       source: SourceTable,
       srcRows: Seq[Map[String, String]],
-      cfg: Config): (Map[String, String], Seq[(String, String)]) = {
-    val inv = cand.mapping // lakeCol -> srcCol
-    val srcDistinct: Map[String, Int] = source.df.columns.toIndexedSeq.map { sc =>
-      sc -> srcRows.flatMap(_.get(sc)).filter(_ != null).distinct.size
-    }.toMap
-
-    val keyPairs = inv.toSeq.filter { case (_, sc) => source.keys.contains(sc) }
+      srcDistinct: Map[String, Int]): Check = {
+    val keyPairs = mapping.toSeq.filter { case (_, sc) => source.keys.contains(sc) }
       .sortBy(_._2)
     val anchorPairs: Seq[(String, String)] =
       if (keyPairs.nonEmpty) keyPairs
-      else Seq(inv.toSeq.maxBy { case (_, sc) => (srcDistinct.getOrElse(sc, 0), sc) })
+      else Seq(mapping.toSeq.maxBy { case (_, sc) => (srcDistinct.getOrElse(sc, 0), sc) })
     val anchorSrcCols = anchorPairs.map(_._2)
     val anchorLakeCols = anchorPairs.map(_._1)
 
@@ -131,77 +148,118 @@ object SetSimilarity {
       val parts = anchorSrcCols.map(sc => r.getOrElse(sc, null))
       if (parts.contains(null)) null else parts.mkString(AnchorSep)
     }
-    val anchorVals: Set[String] = srcRows.map(anchorOf).filter(_ != null).toSet
-    val pairSets: Map[String, Set[(String, String)]] = inv.values.toSeq
-      .filterNot(anchorSrcCols.contains).map { sc =>
-        sc -> srcRows.flatMap { r =>
-          val a = anchorOf(r); val v = r.getOrElse(sc, null)
-          if (a != null && v != null) Some((a, v)) else None
-        }.toSet
-      }.toMap
-
-    val checkCols = inv.toSeq.filterNot { case (c, _) => anchorLakeCols.contains(c) }
-    if (checkCols.isEmpty) return (Map.empty, anchorPairs)
-    val df = repo.read(cand.table).df
-      .select((anchorLakeCols ++ checkCols.map(_._1)).map(col): _*)
-    import org.apache.spark.sql.functions.udf
-    // Candidate-side anchor string: null when any part is null.
-    val anchorExpr = when(anchorLakeCols.map(col(_).isNotNull).reduce(_ && _),
-      concat_ws(AnchorSep, anchorLakeCols.map(col): _*)).otherwise(lit(null))
-    val anchorHit = udf((a: String) => a != null && anchorVals.contains(a))
-    val aggs = checkCols.flatMap { case (c, sc) =>
-      val pairs = pairSets(sc)
-      val hit = udf((a: String, v: String) =>
-        a != null && v != null && pairs.contains((a, v)))
-      Seq(
-        sum((anchorHit(anchorExpr) && col(c).isNotNull).cast("long")).as(s"n_$c"),
-        sum(hit(anchorExpr, col(c)).cast("long")).as(s"m_$c"))
-    }
-    val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
-
-    def acc(i: Int): Option[Double] = {
-      val n = row.getLong(2 * i)
-      if (n == 0) None else Some(row.getLong(2 * i + 1).toDouble / n)
-    }
-    val passing = checkCols.zipWithIndex.filter { case (_, i) =>
-      acc(i).forall(_ >= cfg.tau)
-    }
-    val confirmed = checkCols.zipWithIndex.exists { case ((_, sc), i) =>
-      val d = math.max(1, srcDistinct.getOrElse(sc, 1))
-      acc(i).exists(_ >= math.max(cfg.tau, 2.5 / d))
-    }
-    val surviving =
-      if (!confirmed) Map.empty[String, String]
-      else (passing.map(_._1) ++ anchorPairs).toMap
-    (surviving, anchorPairs)
+    val checkCols = mapping.toSeq.filterNot { case (c, _) => anchorLakeCols.contains(c) }
+    val pairSets = checkCols.map { case (c, sc) =>
+      c -> srcRows.flatMap { r =>
+        val a = anchorOf(r); val v = r.getOrElse(sc, null)
+        if (a != null && v != null) Some((a, v)) else None
+      }.toSet
+    }.toMap
+    Check(table, anchorPairs, checkCols,
+      srcRows.map(anchorOf).filter(_ != null).toSet, pairSets)
   }
 
-  /** Verify a candidate, repairing crossed column assignments: failed
-    * (lakeCol → srcCol) pairs are banned and the greedy mapping re-run, up
-    * to three rounds. Returns None when no multi-column mapping survives.
+  /** The lake side of a round's checks, in one Spark job: per (table,
+    * non-anchor lake column), the aligned non-null cells n and those whose
+    * (anchor, value) pair occurs in the source m. The input is a tagged
+    * union of (table, column, anchor, value) rows over every checked
+    * table; a column with no aligned cell is absent.
     */
-  private def verifyCandidate(
+  private def alignedCounts(
+      repo: TableRepo, checks: Seq[Check]): Map[(String, String), (Long, Long)] = {
+    if (checks.isEmpty) return Map.empty
+    val cells = checks.map { ch =>
+      val anchorLakeCols = ch.anchorPairs.map(_._1)
+      // Candidate-side anchor string: null when any part is null.
+      val anchor = when(anchorLakeCols.map(col(_).isNotNull).reduce(_ && _),
+        concat_ws(AnchorSep, anchorLakeCols.map(col): _*))
+      val cv = ch.checkCols.map { case (c, _) => struct(lit(c).as("column"), col(c).as("value")) }
+      repo.read(ch.table).df
+        .select(lit(ch.table).as("table"), anchor.as("anchor"), explode(array(cv: _*)).as("cv"))
+        .select(col("table"), col("cv.column").as("column"), col("anchor"),
+          col("cv.value").as("value"))
+    }
+    val anchorVals = checks.map(ch => ch.table -> ch.anchorVals).toMap
+    val pairSets = checks.flatMap(ch => ch.pairSets.map { case (c, ps) => (ch.table, c) -> ps })
+      .toMap
+    val aligned = udf((t: String, a: String) => anchorVals(t).contains(a))
+    val agrees = udf((t: String, c: String, a: String, v: String) =>
+      pairSets((t, c)).contains((a, v)))
+    cells.reduce(_ unionByName _)
+      .where(col("anchor").isNotNull && col("value").isNotNull &&
+        aligned(col("table"), col("anchor")))
+      .groupBy("table", "column")
+      .agg(count("*").as("n"),
+        sum(agrees(col("table"), col("column"), col("anchor"), col("value")).cast("long")).as("m"))
+      .collect().toIndexedSeq
+      .map(r => (r.getString(0), r.getString(1)) -> (r.getLong(2), r.getLong(3)))
+      .toMap
+  }
+
+  /** The mapping that survives a check, or empty when the anchor is
+    * unconfirmed. A non-anchor column *passes* at accuracy ≥ τ, but the
+    * candidate is only accepted if at least one column's accuracy also
+    * beats chance for its cardinality (≥ 2.5/d for d distinct source
+    * values): a 2–3 value column (order status…) matches a garbage anchor
+    * at chance level ~1/d ≥ τ, so it can ride along but never *confirm*
+    * an anchor.
+    */
+  private def surviving(
+      ch: Check,
+      counts: Map[(String, String), (Long, Long)],
+      srcDistinct: Map[String, Int],
+      cfg: Config): Map[String, String] = {
+    def acc(c: String): Option[Double] = counts.get((ch.table, c)).collect {
+      case (n, m) if n > 0 => m.toDouble / n
+    }
+    val passing = ch.checkCols.filter { case (c, _) => acc(c).forall(_ >= cfg.tau) }
+    val confirmed = ch.checkCols.exists { case (c, sc) =>
+      val d = math.max(1, srcDistinct.getOrElse(sc, 1))
+      acc(c).exists(_ >= math.max(cfg.tau, 2.5 / d))
+    }
+    if (!confirmed) Map.empty else (passing ++ ch.anchorPairs).toMap
+  }
+
+  /** Verify a batch of ranked tables, repairing crossed column assignments,
+    * in at most [[RepairRounds]] rounds of one Spark job each. Every round
+    * re-runs the greedy mapping of each pending table without its banned
+    * pairs and checks all of them together. Anchor confirmed by at least
+    * one above-chance column → accept (below-τ columns are simply dropped,
+    * as in the paper). Anchor unconfirmed → crossed assignment: ban the
+    * anchor pairs and re-map; the other columns may have failed merely
+    * because the bogus anchor aligned garbage tuples. A table whose
+    * mapping shrinks below two columns is rejected.
+    *
+    * Returns the surviving mapping of every accepted table.
+    */
+  private def verifyBatch(
       repo: TableRepo,
-      table: String,
-      triples: Seq[(String, String, Double, Long)], // (lakeCol, srcCol, containment, m) desc
+      tables: Seq[String],
+      tableTriples: Map[String, Seq[(String, String, Double, Long)]],
       source: SourceTable,
       srcRows: Seq[Map[String, String]],
-      cfg: Config): Option[Candidate] = {
-    var banned = Set.empty[(String, String)]
-    for (_ <- 0 until 5) {
-      val mapping = greedyMapping(triples, banned, cfg.tau)
-      if (mapping.size < 2) return None
-      val cand = Candidate(table, mapping.map { case (c, (sc, _)) => c -> sc }, 0.0)
-      val (surviving, anchorPairs) = verifyOnce(repo, cand, source, srcRows, cfg)
-      // Anchor confirmed by at least one above-chance column → accept
-      // (below-τ columns are simply dropped, as in the paper). Anchor
-      // unconfirmed → crossed assignment: ban the anchor pairs and
-      // re-map; the other columns may have failed merely because the
-      // bogus anchor aligned garbage tuples.
-      if (surviving.size >= 2) return Some(cand.copy(mapping = surviving))
-      banned ++= anchorPairs
+      srcDistinct: Map[String, Int],
+      cfg: Config): Map[String, Map[String, String]] = {
+    val banned = scala.collection.mutable.Map[String, Set[(String, String)]]()
+      .withDefaultValue(Set.empty)
+    val accepted = scala.collection.mutable.Map[String, Map[String, String]]()
+    var pending = tables
+    for (_ <- 0 until RepairRounds if pending.nonEmpty) {
+      val checks = pending.flatMap { t =>
+        val mapping = greedyMapping(tableTriples(t), banned(t), cfg.tau)
+        if (mapping.size < 2) None
+        else Some(check(t, mapping.map { case (c, (sc, _)) => c -> sc },
+          source, srcRows, srcDistinct))
+      }
+      val counts = alignedCounts(repo, checks.filter(_.checkCols.nonEmpty))
+      checks.foreach { ch =>
+        val kept = surviving(ch, counts, srcDistinct, cfg)
+        if (kept.size >= 2) accepted(ch.table) = kept
+        else banned(ch.table) ++= ch.anchorPairs
+      }
+      pending = checks.map(_.table).filterNot(accepted.contains)
     }
-    None
+    accepted.toMap
   }
 
   /** Greedy injective column assignment: lakeCol→srcCol by descending
@@ -221,6 +279,32 @@ object SetSimilarity {
       }
     }
     chosen.toMap
+  }
+
+  /** Content signature of every candidate, in one Spark job: its renamed
+    * column set, row count and the sum of its row hashes (order
+    * independent). Equal signatures mean row-identical mapped content.
+    */
+  private def contentSignatures(
+      repo: TableRepo, cands: Seq[Candidate]): Map[String, (Set[String], Long, String)] = {
+    if (cands.isEmpty) return Map.empty
+    val hashes = cands.map { c =>
+      val df = renamed(repo, c)
+      val cols = df.columns.sorted.toIndexedSeq
+      val rowHash = xxhash64(cols.map(cn =>
+        concat(lit(cn + "="), coalesce(col(cn), lit("␀")))): _*)
+      // Sum as decimal: a long sum of 64-bit hashes overflows under ANSI.
+      df.select(lit(c.table).as("table"), rowHash.cast("decimal(38,0)").as("h"))
+    }
+    val sums = hashes.reduce(_ unionByName _)
+      .groupBy("table").agg(count("*").as("n"), sum(col("h")).as("s"))
+      .collect()
+      .map(r => r.getString(0) -> (r.getLong(1), r.getDecimal(2).toString))
+      .toMap
+    cands.map { c =>
+      val (n, s) = sums.getOrElse(c.table, (0L, "0"))
+      c.table -> (c.mapping.values.toSet, n, s)
+    }.toMap
   }
 
   /** Algorithm 3 (with Algorithm 4's diversification): find, rank,
@@ -258,7 +342,7 @@ object SetSimilarity {
     val mappedCols: Set[(String, String)] =
       mappings.toSeq.flatMap { case (t, m) => m.keys.toSeq.map(t -> _) }.toSet
     val pairOv = pairwiseOverlaps(index, mappedCols, spark)
-    val colSz = columnSizes(index, mappedCols)
+    val colSz = columnSizes(index, mappedCols, spark)
 
     // --- Algorithm 4 per source column: rank by overlap, then rescore
     // each candidate against its predecessor's mapped column.
@@ -287,52 +371,40 @@ object SetSimilarity {
 
     val ranked = tableScores.toSeq.sortBy { case (t, s) => (-s, t) }.map(_._1)
 
-    if (sys.props.contains("repro.debug.setsim")) {
-      Console.err.println(s"DBG ranked=$ranked")
-      ranked.foreach(t => Console.err.println(s"DBG map $t -> ${mappings(t)}"))
-    }
-
     // --- Aligned-tuple verification (Algorithm 3, lines 11–14): walk the
     // ranked list, verifying (and repairing) each candidate's mapping,
     // until enough candidates survive. Junk candidates whose high set
-    // overlap is coincidental die here.
+    // overlap is coincidental die here. A batch is the next
+    // `wanted − verified` tables: each adds at most one candidate, so the
+    // batches attempt exactly the tables a one-by-one walk would.
     val srcRows: Seq[Map[String, String]] = source.df.collect().toIndexedSeq.map { r =>
       source.df.columns.toIndexedSeq.zipWithIndex.map { case (c, i) =>
         c -> (if (r.isNullAt(i)) null else r.get(i).toString)
       }.toMap
     }
+    val srcDistinct: Map[String, Int] = source.df.columns.toIndexedSeq.map { sc =>
+      sc -> srcRows.flatMap(_.get(sc)).filter(_ != null).distinct.size
+    }.toMap
     val verified = scala.collection.mutable.ArrayBuffer[Candidate]()
     val wanted = cfg.topK + 4 // headroom for the duplicate removal below
-    val maxAttempts = cfg.topK * 8
-    val it = ranked.iterator.zipWithIndex
-    while (it.hasNext && verified.size < wanted) {
-      val (t, i) = it.next()
-      if (i < maxAttempts) {
-        verifyCandidate(repo, t, tableTriples(t), source, srcRows, cfg)
-          .foreach(c => verified += c.copy(score = tableScores(t)))
-      }
+    var toAttempt = ranked.take(cfg.topK * 8)
+    while (toAttempt.nonEmpty && verified.size < wanted) {
+      val (batch, rest) = toAttempt.splitAt(wanted - verified.size)
+      val accepted = verifyBatch(repo, batch, tableTriples, source, srcRows, srcDistinct, cfg)
+      batch.foreach(t => accepted.get(t).foreach(m => verified += Candidate(t, m, tableScores(t))))
+      toAttempt = rest
     }
 
     // --- Duplicate-candidate removal (Algorithm 3, line 15). Data lakes
     // hold many copies of the same table; we drop candidates whose
     // renamed, mapped content is row-identical to a better-ranked one
-    // (order-independent row-hash signature, one Spark job per survivor).
+    // (order-independent row-hash signature, one Spark job for all).
     // Value-set containment — the paper's phrasing — cannot distinguish
     // complementary nullified versions from duplicates, so we compare
     // row-level content instead (see DESIGN.md).
-    val seen = scala.collection.mutable.Map[(Set[String], Long, String), String]()
-    val deduped = verified.filter { c =>
-      val df = renamed(repo, c)
-      val cols = df.columns.sorted.toIndexedSeq
-      val rowHash = xxhash64(cols.map(cn =>
-        concat(lit(cn + "="), coalesce(col(cn), lit("␀")))): _*)
-      // Sum as decimal: a long sum of 64-bit hashes overflows under ANSI.
-      val agg = df.select(rowHash.cast("decimal(38,0)").as("h")).agg(
-        count("*").as("n"), coalesce(sum(col("h")), lit(0).cast("decimal(38,0)")).as("s"))
-        .collect()(0)
-      val sig = (cols.toSet, agg.getLong(0), agg.getDecimal(1).toString)
-      if (seen.contains(sig)) false else { seen(sig) = c.table; true }
-    }
+    val signatures = contentSignatures(repo, verified.toSeq)
+    val seen = scala.collection.mutable.Set[(Set[String], Long, String)]()
+    val deduped = verified.filter(c => seen.add(signatures(c.table)))
     deduped.take(cfg.topK).toSeq
   }
 

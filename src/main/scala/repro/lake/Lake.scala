@@ -43,9 +43,16 @@ final case class SourceTable(name: String, df: DataFrame, keys: Seq[String]) {
   * Layout: `<root>/tables/<name>` one Parquet directory per table. Table
   * names are sanitized to be filesystem-safe. All tables are stringified
   * on write so readers always see the lake model.
+  *
+  * Each table is opened once per repo: `spark.read.parquet` lists the
+  * directory and runs a schema-inference job, so `read` keeps the opened
+  * table and later reads of the name return the same `DataFrame`. A
+  * `write` through this repo drops the name's entry; a table rewritten
+  * behind the repo's back is not seen until a new repo opens it.
   */
 final class TableRepo(val root: String, spark: SparkSession) {
   private val fs = new java.io.File(root, "tables")
+  private val opened = new java.util.concurrent.ConcurrentHashMap[String, LakeTable]()
 
   private def dir(name: String): java.io.File = {
     require(name.matches("[A-Za-z0-9_\\-]+"), s"unsafe table name: $name")
@@ -53,9 +60,11 @@ final class TableRepo(val root: String, spark: SparkSession) {
   }
 
   def write(name: String, df: DataFrame): Unit =
-    Lake.stringify(df).write.mode("overwrite").parquet(dir(name).toString)
+    try Lake.stringify(df).write.mode("overwrite").parquet(dir(name).toString)
+    finally opened.remove(name)
 
-  def read(name: String): LakeTable = LakeTable(name, spark.read.parquet(dir(name).toString))
+  def read(name: String): LakeTable =
+    opened.computeIfAbsent(name, n => LakeTable(n, spark.read.parquet(dir(n).toString)))
 
   def exists(name: String): Boolean = dir(name).exists()
 

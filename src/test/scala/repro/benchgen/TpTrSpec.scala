@@ -3,6 +3,7 @@ package repro.benchgen
 import java.nio.file.Files
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{GenT, Metrics}
+import repro.discovery.SetSimilarity
 import repro.lake.Lake
 
 /** TP-TR benchmark generator + a Small-scale end-to-end Gen-T smoke test. */
@@ -88,5 +89,53 @@ class TpTrSpec extends SparkSpec {
     val s = Metrics.all(r.reclaimed, src)
     assert(s.recall >= 0.5, s"$s orig=${r.originating}")
     assert(s.eis >= 0.7, s"$s")
+  }
+
+  // Set Similarity's candidate lists as (table, lake column → source column
+  // mapping, score): a gate for changes to how discovery runs, which must
+  // leave them as they are. q02's candidates and q16's part_n2, part_e1 and
+  // part_n1 are accepted only after one or two verification repair rounds.
+  private def ids(cols: String*): Map[String, String] = cols.map(c => c -> c).toMap
+  private val pinnedCandidates: Seq[(String, Seq[(String, Map[String, String], Double)])] = Seq(
+    "q01_customer" -> Seq(
+      ("customer_n2", ids("c_acctbal", "c_custkey", "c_mktsegment", "c_nationkey"), 0.47775784157363105),
+      ("customer_e2", ids("c_acctbal", "c_custkey", "c_mktsegment", "c_nationkey"), 0.296969696969697),
+      ("customer_e1", ids("c_acctbal", "c_custkey", "c_mktsegment", "c_nationkey"), 0.29518734643734645),
+      ("customer_n1", ids("c_acctbal", "c_custkey", "c_mktsegment", "c_nationkey"), 0.14222488038277512)),
+    "q02_orders" -> Seq(
+      ("orders_e2", ids("o_custkey", "o_orderdate", "o_orderkey", "o_orderstatus", "o_totalprice"), 0.5887038626609442),
+      ("orders_e1", ids("o_custkey", "o_orderdate", "o_orderkey", "o_orderstatus", "o_totalprice"), 0.5534711409395973),
+      ("orders_n2", ids("o_custkey", "o_orderdate", "o_orderkey", "o_orderstatus", "o_totalprice"), 0.32834006116207953),
+      ("orders_n1", ids("o_custkey", "o_orderdate", "o_orderkey", "o_orderstatus", "o_totalprice"), 0.22500642791551884)),
+    "q15_partsupp_supplier" -> Seq(
+      ("partsupp_e2", ids("ps_availqty", "ps_partkey", "ps_suppkey"), 0.5009229957805907),
+      ("supplier_e1", ids("s_acctbal", "s_nationkey") ++ Map("s_suppkey" -> "ps_suppkey"), 0.3333333333333333),
+      ("partsupp_e1", ids("ps_availqty", "ps_partkey", "ps_suppkey"), 0.22875),
+      ("supplier_e2", ids("s_acctbal", "s_nationkey") ++ Map("s_suppkey" -> "ps_suppkey"), 0.13333333333333333),
+      ("partsupp_n2", ids("ps_availqty", "ps_partkey", "ps_suppkey"), 0.015952093397745577),
+      ("partsupp_n1", ids("ps_availqty", "ps_partkey", "ps_suppkey"), -0.017665770609318992),
+      ("supplier_n1", ids("s_acctbal", "s_nationkey") ++ Map("s_suppkey" -> "ps_suppkey"), -0.08888888888888886),
+      ("customer_n1", Map("c_custkey" -> "ps_partkey", "c_nationkey" -> "s_nationkey"), -0.09999999999999998),
+      ("supplier_n2", ids("s_acctbal", "s_nationkey") ++ Map("s_suppkey" -> "ps_suppkey"), -0.3)),
+    "q16_partsupp_part" -> Seq(
+      ("partsupp_e2", ids("ps_partkey", "ps_suppkey", "ps_supplycost"), 0.4770833333333333),
+      ("part_e2", ids("p_type") ++ Map("p_partkey" -> "ps_partkey", "p_size" -> "ps_suppkey"), 0.4110576923076923),
+      ("part_n2", ids("p_retailprice", "p_type"), 0.3875),
+      ("part_e1", ids("p_retailprice", "p_type"), 0.3825),
+      ("part_n1", ids("p_retailprice", "p_type"), 0.2657738095238095),
+      ("partsupp_n2", ids("ps_partkey", "ps_suppkey", "ps_supplycost"), 0.22916666666666666),
+      ("partsupp_e1", ids("ps_partkey", "ps_suppkey", "ps_supplycost"), 0.09250000000000001),
+      ("partsupp_n1", ids("ps_partkey", "ps_suppkey", "ps_supplycost"), -0.058304311774461014))
+  )
+
+  test("Set Similarity returns the pinned candidate lists") {
+    pinnedCandidates.foreach { case (name, want) =>
+      val src = bench.sources.find(_.name == name).get
+      val got = SetSimilarity.findCandidates(bench.repo, bench.index, src, spark)
+      assert(got.map(c => (c.table, c.mapping)) == want.map(w => (w._1, w._2)), name)
+      got.zip(want).foreach { case (c, (_, _, score)) =>
+        assert(math.abs(c.score - score) <= 1e-12, s"$name ${c.table}: ${c.score} vs $score")
+      }
+    }
   }
 }

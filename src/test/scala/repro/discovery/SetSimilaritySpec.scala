@@ -1,7 +1,7 @@
 package repro.discovery
 
 import java.nio.file.Files
-import repro.{Fixtures, SparkSpec}
+import repro.{Fixtures, JobCounter, SparkSpec}
 import repro.lake.{LakeIndex, TableRepo}
 
 /** Set Similarity candidate retrieval (Algorithms 3–4). */
@@ -78,5 +78,33 @@ class SetSimilaritySpec extends SparkSpec {
     val cands = SetSimilarity.findCandidates(repo, index, keyOnly, spark)
     // A contains the ID column; candidates may be found but must map ID.
     cands.foreach(c => assert(c.mapping.values.toSet == Set("ID")))
+  }
+
+  test("Spark jobs do not grow with the candidates: a fixed set, plus one open per new table") {
+    // The Figure 3 lake with `copies` extra exact copies of D. The index is
+    // persisted, as a lake's is, and built through a repo of its own, so
+    // the searched repo opens no table before the first call.
+    def jobs(copies: Int): (Int, Int) = {
+      val root = Files.createTempDirectory("setsim-jobs").toString
+      TableRepo.create(root, spark, Map(
+        "A" -> Fixtures.tableA(spark),
+        "B" -> Fixtures.tableB(spark),
+        "C" -> Fixtures.tableC(spark),
+        "D" -> Fixtures.tableD(spark)) ++
+        (1 to copies).map(i => s"D$i" -> Fixtures.tableD(spark)))
+      val lakeIndex = LakeIndex.buildOrLoad(TableRepo(root, spark), spark)
+      val searched = TableRepo(root, spark)
+      val (first, firstJobs) = JobCounter(spark)(
+        SetSimilarity.findCandidates(searched, lakeIndex, source, spark))
+      val (second, secondJobs) = JobCounter(spark)(
+        SetSimilarity.findCandidates(searched, lakeIndex, source, spark))
+      assert(second == first)
+      assert(first.count(_.table.startsWith("D")) == 1, s"got ${first.map(_.table)}")
+      (firstJobs, secondJobs)
+    }
+    val (first1, second1) = jobs(1)
+    val (first4, second4) = jobs(4)
+    assert(second4 == second1, s"repeat call: $second1 jobs with 1 copy, $second4 with 4")
+    assert(first4 - first1 <= 3, s"first call: $first1 jobs with 1 copy, $first4 with 4")
   }
 }

@@ -24,6 +24,24 @@ class LakeSpec extends SparkSpec {
     assert(repo.exists("t1") && !repo.exists("nope"))
   }
 
+  test("TableRepo opens a table once: two reads of a name return the same DataFrame") {
+    val root = Files.createTempDirectory("repo-memo").toString
+    val repo = TableRepo.create(root, spark, Map("t1" -> Fixtures.tableA(spark)))
+    assert(repo.read("t1").df eq repo.read("t1").df)
+  }
+
+  test("TableRepo write after read: the next read returns the new rows") {
+    val root = Files.createTempDirectory("repo-rewrite").toString
+    val repo = TableRepo.create(root, spark, Map("t1" -> Fixtures.tableA(spark)))
+    val before = repo.read("t1").df
+    assert(before.collect().toSet == Fixtures.tableA(spark).collect().toSet)
+    repo.write("t1", Fixtures.tableB(spark))
+    val after = repo.read("t1").df
+    assert(!(after eq before))
+    assert(after.columns.toSeq == Seq("Name", "Age"))
+    assert(after.collect().toSet == Fixtures.tableB(spark).collect().toSet)
+  }
+
   test("TableRepo lists table names sorted") {
     val root = Files.createTempDirectory("repo2").toString
     val repo = TableRepo.create(root, spark, Map(
