@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
-import repro.lake.SourceTable
+import repro.core.KeyedRows
 
 /** Small in-memory string table — the execution substrate for the
   * Auto-Pipeline* and Ver baselines.
@@ -98,37 +98,11 @@ object MemTable {
       spark.sparkContext.parallelize(t.rows.map(Row.fromSeq(_)), 1), schema)
   }
 
-  /** In-memory EIS against a source MemTable — same semantics as
-    * [[repro.core.Similarity.eis]], used to score search states cheaply.
+  /** In-memory EIS against a source MemTable: [[repro.core.KeyedRows.eis]],
+    * the semantics of [[repro.core.Similarity.eis]], used to score search
+    * states cheaply.
     */
-  def eis(t: MemTable, source: MemTable, keys: Seq[String]): Double = {
-    val nk = source.cols.filterNot(keys.contains)
-    val n = math.max(1, nk.size)
-    if (source.rows.isEmpty) return 1.0
-    val sKeyIdx = keys.map(source.cols.indexOf).toVector
-    val sNkIdx = nk.map(source.cols.indexOf).toVector
-    val tPadded = t.padTo(source.cols)
-    val tKeyIdx = keys.map(tPadded.cols.indexOf).toVector
-    val tNkIdx = nk.map(tPadded.cols.indexOf).toVector
-    val byKey = tPadded.rows.groupBy(r => tKeyIdx.map(r))
-    val sum = source.rows.map { s =>
-      val k = sKeyIdx.map(s)
-      if (k.contains(null)) 0.0
-      else byKey.get(k) match {
-        case None => 0.0
-        case Some(ts) =>
-          val best = ts.map { tr =>
-            var alpha = 0; var delta = 0
-            nk.indices.foreach { i =>
-              val sv = s(sNkIdx(i)); val tv = tr(tNkIdx(i))
-              if (sv == tv) alpha += 1
-              else if (tv != null) delta += 1
-            }
-            alpha - delta
-          }.max
-          1.0 + best.toDouble / n
-      }
-    }.sum
-    0.5 * sum / source.rows.size
-  }
+  def eis(t: MemTable, source: MemTable, keys: Seq[String]): Double =
+    KeyedRows.eis(KeyedRows.Table(t.cols, t.rows),
+      KeyedRows.Source(KeyedRows.Table(source.cols, source.rows), keys))
 }

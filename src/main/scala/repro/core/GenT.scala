@@ -8,6 +8,11 @@ import repro.lake.{SourceTable, TableRepo}
   * Set Similarity (candidate retrieval + implicit schema matching) →
   * Expand (key coverage) → Matrix Traversal (originating-table pruning) →
   * Table Integration (Algorithm 2) → reclaimed source table.
+  *
+  * Discovery and Expand run in Spark. After them every table holds only
+  * rows with a source key, so one job collects S and the expanded tables
+  * ([[KeyedRows.collect]]); matrix traversal and integration run on the
+  * driver, and the reclaimed table is a local DataFrame of their rows.
   */
 object GenT {
 
@@ -25,15 +30,17 @@ object GenT {
     * renamed candidates are joinable on a shared source column; the
     * weight approximates how lossless that equi-join is. We estimate with
     * a cheap distinct-overlap probe per shared column over the (already
-    * projected, renamed) candidate pair.
+    * projected, renamed) candidate pair. Only candidates lacking a source
+    * key column read the weights, so with none of them no job runs.
     */
   private def expandWeights(
-      tables: Seq[(String, DataFrame)]): Map[(String, String), Map[String, Double]] = {
+      tables: Seq[(String, DataFrame)],
+      source: SourceTable): Map[(String, String), Map[String, Double]] = {
     import org.apache.spark.sql.functions._
-    if (tables.size < 2) return Map.empty
-    // One distributed job: unpivot every candidate, self-join on
-    // (column, value), count per (tableA, tableB, column), then weight =
-    // Σ_shared-col |∩| / min(|A.col|, |B.col|).
+    if (tables.size < 2 || tables.forall(t => source.keys.forall(t._2.columns.contains))) return Map.empty
+    // Two jobs: unpivot every candidate and count its values per column;
+    // self-join on (column, value) and count per (tableA, tableB, column).
+    // Then weight = Σ_shared-col |∩| / min(|A.col|, |B.col|).
     val unpivoted = Operators.outerUnionAll(tables.map { case (n, df) =>
       repro.lake.LakeIndex.unpivot(df).select(lit(n).as("table"), col("column"), col("value"))
     }).cache()
@@ -89,31 +96,34 @@ object GenT {
     }
 
     // Select early: every downstream table only needs rows aligned to the
-    // source keys, so prune candidates to aligned rows where the key is
-    // present (a distributed semi-join) before Expand/matrix work.
+    // source keys, so prune keyed candidates to those rows (a semi-join
+    // in Spark) before Expand.
     val pruned = renamed.map { case (n, df) =>
       n -> Operators.selectSourceKeys(df, source).cache()
     }
-
-    // --- Expand (Algorithm 5): give every candidate the source key.
-    val weights = expandWeights(pruned)
-    val expanded = Expand.expandAll(pruned, source, weights)
-      .map(e => e.copy(df = Operators.projectSelect(e.df, source)))
-
-    if (expanded.isEmpty) {
-      return Result(source.df.limit(0), candidates.map(_.table), Seq.empty,
-        (System.nanoTime() - t0) / 1000000)
-    }
+    val (src, tables) = try {
+      // --- Expand (Algorithm 5): give every candidate the source key.
+      val expanded = Expand.expandAll(pruned, source, expandWeights(pruned, source))
+        .map(e => e.copy(df = Operators.projectSelect(e.df, source)))
+      if (expanded.isEmpty) {
+        return Result(source.df.limit(0), candidates.map(_.table), Seq.empty,
+          (System.nanoTime() - t0) / 1000000)
+      }
+      // Every table now holds only rows with a source key: one job brings
+      // them and S to the driver, where the rest of Gen-T runs.
+      val (src, rows) = KeyedRows.collect(source, expanded.map(_.df))
+      (src, expanded.map(_.name).zip(rows))
+    } finally pruned.foreach(_._2.unpersist())
 
     // --- Matrix Traversal (Algorithm 1): prune to originating tables.
-    val matrices = MatrixTraversal.initMatrices(expanded, source, cfg.matrix)
-    val nSourceRows = source.df.count()
+    val matrices = MatrixTraversal.initMatrices(tables, src, cfg.matrix)
     val picked = MatrixTraversal.traverse(
-      matrices, nSourceRows, source.nonKeyColumns.size, cfg.matrix)
-    val origTables = expanded.filter(e => picked.contains(e.name))
+      matrices, src.size, source.nonKeyColumns.size, cfg.matrix)
 
     // --- Table Reclamation (Algorithm 2).
-    val reclaimed = Integration.integrate(origTables.map(_.df), source)
+    val reclaimed = KeyedRows.toDf(
+      Integration.integrate(tables.collect { case (n, t) if picked.contains(n) => t }, src),
+      spark)
 
     Result(reclaimed, candidates.map(_.table), picked,
       (System.nanoTime() - t0) / 1000000)

@@ -1,10 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
-import repro.lake.SourceTable
+import repro.core.KeyedRows.{Source, Table}
 
-/** Table Integration (paper Algorithm 2).
+/** Table Integration (paper Algorithm 2), run on the driver over the
+  * rows [[KeyedRows.collect]] brought there.
   *
   * Preprocess: ProjectSelect (π, σ) → InnerUnion of same-schema tables →
   * LabelSourceNulls → TakeMinimalForm (dedupe, β, κ). Integrate: fold the
@@ -18,81 +17,76 @@ object Integration {
   /** Prefix of labeled-null tokens (LabelSourceNulls / RemoveLabeledNulls). */
   val NullLabelPrefix = "⟂|"
 
-  private def keyExpr(source: SourceTable): Column =
-    concat_ws("", source.keys.map(col): _*)
+  private def label(key: Seq[String], column: String): String =
+    NullLabelPrefix + key.filter(_ != null).mkString("\u0001") + "|" + column
 
   /** The source with every null non-key value replaced by its
     * deterministic label token — integration-time similarity is evaluated
     * against this copy so labeled nulls in the tables count as matches.
     */
-  def labeledSource(source: SourceTable): SourceTable = {
-    val k = keyExpr(source)
-    val cols = source.df.columns.toIndexedSeq.map { c =>
-      if (source.keys.contains(c)) col(c)
-      else when(col(c).isNull, concat(lit(NullLabelPrefix), k, lit("|" + c))).otherwise(col(c)).as(c)
-    }
-    source.copy(df = source.df.select(cols: _*))
+  def labeledSource(source: Source): Source = {
+    val cols = source.table.columns
+    val keyIdx = source.keys.map(cols.indexOf)
+    Source(Table(cols, source.table.rows.map { r =>
+      cols.indices.map { i =>
+        if (r(i) == null && !source.keys.contains(cols(i))) label(keyIdx.map(r), cols(i)) else r(i)
+      }
+    }), source.keys)
   }
 
-  /** LabelSourceNulls (Algorithm 2, line 5): in table `df`, wherever both
+  /** LabelSourceNulls (Algorithm 2, line 5): in table `t`, wherever both
     * the table and the aligned source tuple are null in a column, replace
     * the table's null with the same label token used by [[labeledSource]]
-    * — so β/κ cannot over-combine away a *correct* null.
+    * — so β/κ cannot over-combine away a *correct* null. A row aligned
+    * with several source rows (a repeated source key) is emitted once per
+    * source row, as the left join it stands for does.
     */
-  def labelNulls(df: DataFrame, source: SourceTable): DataFrame = {
-    val s = source.df
-    val sA = s.select(s.columns.toIndexedSeq.map(c => col(c).as(s"s_$c")): _*)
-    val joinCond = source.keys.map(k => col(k) === col(s"s_$k")).reduce(_ && _)
-    val joined = df.join(sA, joinCond, "left")
-    val k = concat_ws("", source.keys.map(c => col(s"s_$c")): _*)
-    val cols = df.columns.toIndexedSeq.map { c =>
-      if (source.keys.contains(c) || !s.columns.contains(c)) col(c)
-      else when(col(c).isNull && col(s"s_$c").isNull && col(s"s_${source.keys.head}").isNotNull,
-                concat(lit(NullLabelPrefix), k, lit("|" + c)))
-        .otherwise(col(c)).as(c)
-    }
-    joined.select(cols: _*)
+  def labelNulls(t: Table, source: Source): Table = {
+    val keyIdx = KeyedRows.requireKeys(t, source.keys)
+    val sPos = t.columns.map(source.table.columns.indexOf)
+    val labelable = t.columns.indices.filter(i => sPos(i) >= 0 && !source.keys.contains(t.columns(i)))
+    Table(t.columns, t.rows.flatMap { r =>
+      val key = keyIdx.map(r)
+      source.byKey.get(key) match {
+        case None => Seq(r)
+        case Some(ss) => ss.map { s =>
+          labelable.foldLeft(r) { (row, i) =>
+            if (row(i) == null && s(sPos(i)) == null) row.updated(i, label(key, t.columns(i))) else row
+          }
+        }
+      }
+    })
   }
 
   /** RemoveLabeledNulls (Algorithm 2, line 14). */
-  def removeLabeledNulls(df: DataFrame): DataFrame =
-    df.select(df.columns.toIndexedSeq.map { c =>
-      when(col(c).startsWith(NullLabelPrefix), lit(null).cast("string")).otherwise(col(c)).as(c)
-    }: _*)
+  def removeLabeledNulls(t: Table): Table =
+    Table(t.columns, t.rows.map(_.map(v => if (v != null && v.startsWith(NullLabelPrefix)) null else v)))
 
   /** Algorithm 2 end to end. Input tables must contain the source key. */
-  def integrate(tables: Seq[DataFrame], source: SourceTable): DataFrame = {
-    if (tables.isEmpty) return source.df.limit(0)
+  def integrate(tables: Seq[Table], source: Source): Table = {
+    if (tables.isEmpty) return Table(source.table.columns, Seq.empty)
 
     val labeled = labeledSource(source)
+    def eis(t: Table): Double = KeyedRows.eis(t, labeled)
 
     // Lines 3–6: ProjectSelect, InnerUnion, LabelSourceNulls, minimal form.
-    val ps = tables.map(t => Operators.projectSelect(t, source))
-    val unioned = Operators.innerUnionGroups(ps)
-    val prepared = unioned
-      .map(t => labelNulls(t, source))
-      .map(t => Operators.minimalForm(t, source.keys).cache())
+    val prepared = KeyedRows.innerUnionGroups(tables.map(KeyedRows.projectSelect(_, source)))
+      .map(t => KeyedRows.minimalForm(labelNulls(t, source), source.keys))
 
     // Iterate in descending EIS order (traversal pick order is preserved
     // upstream by Gen-T; standalone callers get a deterministic order).
-    val ordered = prepared
-      .map(t => (t, Similarity.eis(t, labeled)))
-      .sortBy(-_._2).map(_._1)
+    val ordered = prepared.map(t => (t, eis(t))).sortBy(-_._2).map(_._1)
 
     // Lines 8–13: outer union fold with conditional κ and β.
-    var result = ordered.head
-    for (t <- ordered.tail) {
-      var merged = Operators.outerUnion(result, t).cache()
-      val base = Similarity.eis(merged, labeled)
-      val comp = Operators.complementation(merged, source.keys).cache()
-      if (Similarity.eis(comp, labeled) >= base) merged = comp
-      val afterComp = Similarity.eis(merged, labeled)
-      val sub = Operators.subsumption(merged, source.keys).cache()
-      if (Similarity.eis(sub, labeled) >= afterComp) merged = sub
-      result = merged
+    val result = ordered.tail.foldLeft(ordered.head) { (acc, t) =>
+      val merged = KeyedRows.outerUnion(acc, t)
+      val comp = KeyedRows.complementation(merged, source.keys)
+      val afterComp = if (eis(comp) >= eis(merged)) comp else merged
+      val sub = KeyedRows.subsumption(afterComp, source.keys)
+      if (eis(sub) >= eis(afterComp)) sub else afterComp
     }
 
     // Lines 14–16: unlabel, pad missing columns, order as the source.
-    Operators.padToSourceSchema(removeLabeledNulls(result), source)
+    KeyedRows.padTo(removeLabeledNulls(result), source.table.columns)
   }
 }

@@ -1,0 +1,187 @@
+package repro.core
+
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.{col, lit}
+import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import repro.lake.SourceTable
+
+/** The driver-side keyed-row kernel that runs Gen-T after discovery.
+  *
+  * After Expand and ProjectSelect every table Gen-T still handles holds
+  * only rows carrying one of the source's keys, so its size is bounded by
+  * |S| times the rows a lake table has per key (q15's integrated output is
+  * 55 rows). [[collect]] brings the source and all those tables to the
+  * driver in one Spark job; matrix initialization, traversal and every
+  * step of Algorithm 2 then run here over string rows (null = ⊥).
+  *
+  * β and κ are per-key closures ([[Operators.subsumeGroup]],
+  * [[Operators.complementGroup]]): two tuples can only subsume or
+  * complement each other if they agree on the key, so grouping by the
+  * key tuple is exact once every tuple carries one. Rows with a null key
+  * cell pass through them untouched. Unions keep bag semantics, as
+  * Spark's `unionByName` does; only β, κ and the minimal form remove
+  * duplicates.
+  */
+object KeyedRows {
+
+  /** Most rows [[collect]] accepts: the source plus every table. */
+  val MaxRows = 1000000
+
+  /** A table on the driver: column names and rows of cells (null = ⊥). */
+  final case class Table(columns: IndexedSeq[String], rows: Seq[Seq[String]])
+
+  /** The source on the driver, with its rows grouped by key tuple (rows
+    * with a null key cell align with nothing, as in an equi-join).
+    */
+  final case class Source(table: Table, keys: Seq[String]) {
+    val byKey: Map[Seq[String], Seq[Seq[String]]] = keyGroups(table.rows, requireKeys(table, keys)).toMap
+    val nonKeyColumns: IndexedSeq[String] = table.columns.filterNot(keys.contains)
+    def size: Int = table.rows.size
+  }
+
+  /** One Spark job: `source` and every table of `tables`, padded to the
+    * source's schema and tagged, collected as one union. Each table keeps
+    * its own columns that the source has, in its own order. Fails if the
+    * union holds more than [[MaxRows]] rows.
+    */
+  def collect(source: SourceTable, tables: Seq[DataFrame]): (Source, Seq[Table]) = {
+    val cols = source.df.columns.toIndexedSeq
+    val tagged = (source.df +: tables).zipWithIndex.map { case (df, i) =>
+      df.select(lit(i).as("__tag") +: cols.map { c =>
+        (if (df.columns.contains(c)) col(c) else lit(null)).cast(StringType).as(c)
+      }: _*)
+    }
+    val rows = tagged.reduce(_ union _).collect()
+    if (rows.length > MaxRows) throw new IllegalStateException(
+      s"${rows.length} rows collected for source ${source.name}: " +
+        s"more than the driver-side bound of $MaxRows")
+    val byTag = rows.groupBy(_.getInt(0))
+    def table(tag: Int, own: IndexedSeq[String]): Table = {
+      val pos = own.map(cols.indexOf(_) + 1)
+      Table(own, byTag.getOrElse(tag, Array.empty[Row]).toIndexedSeq
+        .map(r => pos.map(i => r.getString(i))))
+    }
+    (Source(table(0, cols), source.keys), tables.zipWithIndex.map { case (df, i) =>
+      table(i + 1, df.columns.toIndexedSeq.filter(cols.contains))
+    })
+  }
+
+  /** A local (job-free) DataFrame of `t`'s rows, every column a string. */
+  def toDf(t: Table, spark: SparkSession): DataFrame =
+    spark.createDataFrame(
+      t.rows.map(r => Row.fromSeq(r)).asJava,
+      StructType(t.columns.map(c => StructField(c, StringType, nullable = true))))
+
+  /** Positions of `keys` in `t`, or None if `t` lacks one. */
+  private[core] def keyPositions(t: Table, keys: Seq[String]): Option[IndexedSeq[Int]] = {
+    val idx = keys.map(t.columns.indexOf).toIndexedSeq
+    if (idx.contains(-1)) None else Some(idx)
+  }
+
+  private[core] def requireKeys(t: Table, keys: Seq[String]): IndexedSeq[Int] =
+    keyPositions(t, keys).getOrElse(
+      throw new IllegalArgumentException(s"keys $keys missing from ${t.columns}"))
+
+  /** Rows with no null key cell, grouped by key tuple in order of first
+    * appearance; rows keep their order within a group.
+    */
+  private def keyGroups(
+      rows: Seq[Seq[String]], keyIdx: IndexedSeq[Int]): Seq[(Seq[String], Seq[Seq[String]])] = {
+    val groups = mutable.LinkedHashMap[Seq[String], mutable.ArrayBuffer[Seq[String]]]()
+    rows.foreach { r =>
+      val k = keyIdx.map(r)
+      if (!k.contains(null)) groups.getOrElseUpdate(k, mutable.ArrayBuffer()) += r
+    }
+    groups.iterator.map { case (k, rs) => k -> rs.toSeq }.toSeq
+  }
+
+  private def perKeyGroup(t: Table, keys: Seq[String])(
+      f: Seq[Seq[String]] => Seq[Seq[String]]): Table = {
+    val idx = requireKeys(t, keys)
+    val unkeyed = t.rows.filter(r => idx.exists(r(_) == null))
+    Table(t.columns, keyGroups(t.rows, idx).flatMap { case (_, rs) => f(rs) } ++ unkeyed)
+  }
+
+  /** Subsumption (β): drop duplicate and subsumed tuples, per key group. */
+  def subsumption(t: Table, keys: Seq[String]): Table =
+    perKeyGroup(t, keys)(Operators.subsumeGroup)
+
+  /** Complementation (κ): fixpoint pairwise complementation per key group. */
+  def complementation(t: Table, keys: Seq[String]): Table =
+    perKeyGroup(t, keys)(Operators.complementGroup)
+
+  /** TakeMinimalForm of Algorithm 2, line 6: dedupe + β + κ per key group
+    * (the paper's "remove duplicate tuples, subsumed tuples (β), and take
+    * the resulting tuples of complementation (κ)").
+    */
+  def minimalForm(t: Table, keys: Seq[String]): Table =
+    perKeyGroup(t, keys)(rows =>
+      Operators.subsumeGroup(Operators.complementGroup(Operators.subsumeGroup(rows))))
+
+  /** `t`'s rows on `columns`: missing columns are null, others dropped. */
+  def padTo(t: Table, columns: IndexedSeq[String]): Table = {
+    val pos = columns.map(t.columns.indexOf)
+    Table(columns, t.rows.map(r => pos.map(i => if (i >= 0) r(i) else null)))
+  }
+
+  /** Outer Union (⊎): `a`'s columns, then `b`'s new ones; a bag. */
+  def outerUnion(a: Table, b: Table): Table = {
+    val cols = a.columns ++ b.columns.filterNot(a.columns.contains)
+    Table(cols, padTo(a, cols).rows ++ padTo(b, cols).rows)
+  }
+
+  /** InnerUnion of Algorithm 2, line 4: union tables that share the same
+    * column set (same schema ⇒ outer union = inner union, Lemma 11), in
+    * the first table's column order.
+    */
+  def innerUnionGroups(ts: Seq[Table]): Seq[Table] =
+    ts.groupBy(_.columns.toSet).values.toSeq.map(_.reduce(outerUnion))
+
+  /** ProjectSelect of Algorithm 2, line 3: π onto the source's columns `t`
+    * has (in source order), then σ to rows whose key tuple is one of the
+    * source's. A table lacking a key column is only projected.
+    */
+  def projectSelect(t: Table, source: Source): Table = {
+    val p = padTo(t, source.table.columns.filter(t.columns.contains))
+    keyPositions(p, source.keys) match {
+      case None => p
+      case Some(idx) => Table(p.columns, p.rows.filter(r => source.byKey.contains(idx.map(r))))
+    }
+  }
+
+  /** The three-valued codes of Eq. (4) for every pair of a source row and
+    * a row of `t` with the same key tuple, one per non-key column of S:
+    * 1 where they agree (null-safe), 0 where S is non-null and `t` null,
+    * −1 otherwise (a contradicting value, or a value where S is null). A
+    * pair's α − δ is the sum of its codes. Grouped by key tuple in order
+    * of first appearance in `t`, source row major; source columns `t`
+    * lacks are null in `t`, and a `t` lacking a key column aligns nothing.
+    */
+  def codes(t: Table, source: Source): Seq[(Seq[String], Seq[Vector[Int]])] = {
+    val sPos = source.nonKeyColumns.map(source.table.columns.indexOf)
+    val tPos = source.nonKeyColumns.map(t.columns.indexOf)
+    keyPositions(t, source.keys).toSeq.flatMap(idx => keyGroups(t.rows, idx)).flatMap { case (k, rs) =>
+      source.byKey.get(k).map { ss =>
+        k -> (for (s <- ss; r <- rs) yield sPos.indices.map { i =>
+          val sv = s(sPos(i)); val tv = if (tPos(i) >= 0) r(tPos(i)) else null
+          if (sv == tv) 1 else if (sv != null && tv == null) 0 else -1
+        }.toVector)
+      }
+    }
+  }
+
+  /** EIS of Definition 5 / Eq. (3), as [[Similarity.eis]] computes it:
+    * each source key tuple that `t` aligns with adds 1 + max(α − δ)/n
+    * over the pairs of [[codes]]; the sum is halved and divided by |S|
+    * rows.
+    */
+  def eis(t: Table, source: Source): Double = {
+    val total = source.size
+    if (total == 0) return 1.0
+    val n = math.max(1, source.nonKeyColumns.size)
+    val best = codes(t, source).map { case (_, cs) => cs.map(_.sum).max }
+    0.5 * (best.size.toLong * n + best.sum) / n / total
+  }
+}

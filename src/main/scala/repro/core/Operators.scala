@@ -8,13 +8,14 @@ import repro.lake.SourceTable
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
   * Complementation (κ).
   *
-  * β and κ are pairwise tuple operators. Two tuples can only subsume or
-  * complement each other if they agree on every attribute where both are
-  * non-null — so once every tuple carries a non-null source-key value
-  * (guaranteed after ProjectSelect/Expand), grouping by the key is exact
-  * and turns the quadratic pairwise scan into small per-key closures run
-  * inside `groupByKey.flatMapGroups`. The generic (key-free) variants
-  * needed by the ALITE baseline live in [[Fd]].
+  * The DataFrame operators here (⊎, π, σ, padding) serve discovery,
+  * Expand and the metrics. β and κ are pairwise tuple operators: two
+  * tuples can only subsume or complement each other if they agree on
+  * every attribute where both are non-null, so once every tuple carries a
+  * non-null source-key value (guaranteed after ProjectSelect/Expand) they
+  * reduce to the small per-key closures below, which
+  * [[KeyedRows]] runs per key group on the driver. The generic (key-free)
+  * variants needed by the ALITE baseline live in [[Fd]].
   */
 object Operators {
 
@@ -54,17 +55,10 @@ object Operators {
   def projectSelect(df: DataFrame, source: SourceTable): DataFrame =
     selectSourceKeys(projectToSource(df, source), source)
 
-  /** InnerUnion of Algorithm 2, line 4: union tables that share the same
-    * column set (same schema ⇒ outer union = inner union, Lemma 11).
-    */
-  def innerUnionGroups(dfs: Seq[DataFrame]): Seq[DataFrame] =
-    dfs.groupBy(_.columns.toSet).values.toSeq
-      .map(group => group.reduce((a, b) => a.unionByName(b)))
-
   // ---------------------------------------------------------------------
   // Pairwise tuple predicates over rows represented as Seq[String]
-  // (null = ⊥). Shared by the key-grouped operators here and the generic
-  // full-disjunction closure in Fd.
+  // (null = ⊥). Shared by the key-grouped operators of KeyedRows and the
+  // generic full-disjunction closure in Fd.
   // ---------------------------------------------------------------------
 
   /** a subsumes b: wherever b is non-null they agree, and a is non-null
@@ -133,53 +127,6 @@ object Operators {
     }
     cur.toSeq
   }
-
-  // ---------------------------------------------------------------------
-  // Key-grouped distributed operators
-  // ---------------------------------------------------------------------
-
-  /** Run `f` over the rows of each source-key group of `df`. Rows with a
-    * null in any key column pass through untouched (they cannot be
-    * grouped; in the Gen-T pipeline they do not occur post-ProjectSelect).
-    */
-  private def perKeyGroup(df: DataFrame, keys: Seq[String])(
-      f: Seq[Seq[String]] => Seq[Seq[String]]): DataFrame = {
-    val sp = df.sparkSession
-    import sp.implicits._
-    val cols = df.columns.toIndexedSeq
-    val keyIdx = keys.map(cols.indexOf).toIndexedSeq
-    require(keyIdx.forall(_ >= 0), s"keys $keys missing from ${cols}")
-
-    val keyed = df.filter(keys.map(col(_).isNotNull).reduce(_ && _))
-    val unkeyed = df.filter(keys.map(col(_).isNull).reduce(_ || _))
-
-    val ds = keyed.map { r =>
-      cols.indices.map(i => Option(r.get(i)).map(_.toString).orNull): Seq[String]
-    }
-    val out = ds
-      .groupByKey(row => keyIdx.map(row).mkString("\u0001"))
-      .flatMapGroups((_, it) => f(it.toSeq).iterator)
-      .toDF("r")
-    val rebuilt = out.select(cols.zipWithIndex.map { case (c, i) =>
-      element_at(col("r"), i + 1).as(c)
-    }: _*)
-    if (unkeyed.isEmpty) rebuilt else rebuilt.unionByName(unkeyed)
-  }
-
-  /** Subsumption (β): drop duplicate and subsumed tuples, per key group. */
-  def subsumption(df: DataFrame, keys: Seq[String]): DataFrame =
-    perKeyGroup(df, keys)(subsumeGroup)
-
-  /** Complementation (κ): fixpoint pairwise complementation per key group. */
-  def complementation(df: DataFrame, keys: Seq[String]): DataFrame =
-    perKeyGroup(df, keys)(complementGroup)
-
-  /** TakeMinimalForm of Algorithm 2, line 6: dedupe + β + κ in one grouped
-    * pass (the paper's "remove duplicate tuples, subsumed tuples (β), and
-    * take the resulting tuples of complementation (κ)").
-    */
-  def minimalForm(df: DataFrame, keys: Seq[String]): DataFrame =
-    perKeyGroup(df, keys)(rows => subsumeGroup(complementGroup(subsumeGroup(rows))))
 
   /** Pad `df` with null columns for every source column it lacks, then
     * order columns as in the source (Algorithm 2, lines 15–16).

@@ -1,9 +1,6 @@
 package repro.discovery
 
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
-import repro.core.Operators
-import repro.lake.SourceTable
+import repro.core.KeyedRows
 
 /** Matrix Traversal (paper §V-A2/V-A3, Algorithm 1).
   *
@@ -14,12 +11,10 @@ import repro.lake.SourceTable
   *   - −1  otherwise (contradicting non-null, or non-null where the
   *          source is null) — Eq. (4).
   *
-  * Matrix initialization is one distributed job: all candidates are
-  * padded to the source schema, tagged, outer-unioned, joined with the
-  * source on the key, coded with `when` expressions, capped per
-  * (table, key) by a window, and collected (a matrix is at most
-  * |S| × |non-key cols| × cap — tiny). The greedy traversal itself runs
-  * on the driver, exactly as Algorithm 1: start from the best single
+  * Matrix initialization and traversal run on the driver, over the
+  * expanded tables' rows that [[KeyedRows.collect]] brought there in one
+  * Spark job (a matrix is at most |S| × |non-key cols| × cap — tiny). The
+  * greedy traversal is exactly Algorithm 1: start from the best single
   * matrix and keep adding the table whose Combine() raises the simulated
   * EIS, stopping at convergence.
   *
@@ -38,50 +33,22 @@ object MatrixTraversal {
 
   final case class Config(rowsPerKeyCap: Int = 20, rowsPerKeyCombinedCap: Int = 40)
 
-  private val KeySep = ""
+  private val KeySep = "\u0001"
 
-  /** Initialize every candidate's matrix in one distributed pass. */
+  /** Initialize every table's matrix from the codes of its rows aligned
+    * with the source's ([[KeyedRows.codes]]): per key, the
+    * `rowsPerKeyCap` code rows with the most 1s (ties in row order), then
+    * their distinct values.
+    */
   def initMatrices(
-      tables: Seq[Expand.Expanded],
-      source: SourceTable,
-      cfg: Config = Config()): Map[String, Matrix] = {
-    if (tables.isEmpty) return Map.empty
-    val nk = source.nonKeyColumns
-    val tagged = tables.map { t =>
-      Operators.padToSourceSchema(t.df, source).withColumn("__tbl", lit(t.name))
-    }
-    val all = Operators.outerUnionAll(tagged)
-    val rA = all.select(
-      (all.columns.toIndexedSeq.filterNot(_ == "__tbl").map(c => col(c).as(s"r_$c")) :+
-        col("__tbl")): _*)
-    val joinCond = source.keys.map(k => col(k) === col(s"r_$k")).reduce(_ && _)
-    val joined = source.df.join(rA, joinCond, "inner")
-
-    val codes = nk.map { c =>
-      when(col(c) <=> col(s"r_$c"), 1)
-        .when(col(c).isNotNull && col(s"r_$c").isNull, 0)
-        .otherwise(-1).as(s"code_$c")
-    }
-    val keyStr = concat_ws(KeySep, source.keys.map(col): _*).as("__key")
-    val scoreCols = nk.map(c => when(col(s"code_$c") === 1, 1).otherwise(0))
-    val coded = joined.select((Seq(col("__tbl"), keyStr) ++ codes): _*)
-      .withColumn("__alpha",
-        if (nk.isEmpty) lit(0) else scoreCols.reduce(_ + _))
-    val capped = coded
-      .withColumn("__rn", row_number().over(
-        Window.partitionBy("__tbl", "__key").orderBy(col("__alpha").desc)))
-      .where(col("__rn") <= cfg.rowsPerKeyCap)
-
-    val collected = capped.collect()
-    val byTable = collected.groupBy(_.getString(0))
-    tables.map { t =>
-      val rows = byTable.getOrElse(t.name, Array.empty).toIndexedSeq
-      val m = rows.groupBy(_.getString(1)).map { case (k, rs) =>
-        k -> rs.map(r => nk.indices.map(i => r.getInt(2 + i)).toVector).distinct
-      }
-      t.name -> Matrix(m)
+      tables: Seq[(String, KeyedRows.Table)],
+      source: KeyedRows.Source,
+      cfg: Config = Config()): Map[String, Matrix] =
+    tables.map { case (name, t) =>
+      name -> Matrix(KeyedRows.codes(t, source).map { case (k, cs) =>
+        k.mkString(KeySep) -> cs.sortBy(c => -c.count(_ == 1)).take(cfg.rowsPerKeyCap).distinct
+      }.toMap)
     }.toMap
-  }
 
   private def conflict(a: CodeRow, b: CodeRow): Boolean =
     a.indices.exists(i => (a(i) == 1 && b(i) == -1) || (a(i) == -1 && b(i) == 1))

@@ -138,4 +138,58 @@ class TpTrSpec extends SparkSpec {
       }
     }
   }
+
+  // Gen-T's originating tables (in pick order) and scores on every source
+  // whose traversal picks an expanded (`a+b`) table or whose integration
+  // folds more than one InnerUnion group: a gate for changes to how
+  // traversal and integration run, which must leave them as they are.
+  private val pinnedOutputs: Seq[(String, Seq[String], Double, Double, Double)] = Seq(
+    ("q12_orders_customer", Seq("orders_n2", "customer_n1+orders_n1", "customer_n2+orders_n2",
+      "customer_n2+orders_n1", "customer_n1+orders_n2", "orders_n1"),
+      1.0, 1.0, 1.0),
+    ("q14_lineitem_part", Seq("lineitem_n1", "part_n1+lineitem_n2", "part_n1+lineitem_n1",
+      "lineitem_n2", "part_e2+lineitem_n2", "part_e1+lineitem_n1", "part_e2+lineitem_n1"),
+      0.4827586206896552, 0.1917808219178082, 0.9008620689655172),
+    ("q15_partsupp_supplier", Seq("supplier_n1+partsupp_e1", "supplier_n2+partsupp_e1",
+      "supplier_n1+partsupp_e2", "supplier_n2+partsupp_e2"),
+      0.84375, 0.4909090909090909, 0.9479166666666667),
+    ("q16_partsupp_part", Seq("partsupp_n2", "partsupp_n1", "part_n1+part_e2"),
+      0.0, 0.0, 0.6718750000000001),
+    ("q17_customer_nation", Seq("customer_n1", "customer_n2", "nation_n1+customer_n1",
+      "nation_n1+customer_n2", "nation_n2+customer_n2", "nation_n2+customer_n1"),
+      1.0, 1.0, 1.0),
+    ("q18_supplier_nation", Seq("supplier_n1", "nation_n2+supplier_n1", "supplier_n2",
+      "nation_n1+customer_n2"),
+      0.8, 0.6666666666666666, 0.96),
+    ("q19_nation_region", Seq("nation_n2", "nation_n1", "region_n2+nation_e2", "region_e2+nation_e1"),
+      0.36, 0.23684210526315788, 0.8933333333333331),
+    ("q20_orders_leftjoin_customer", Seq("orders_n1", "orders_n2", "customer_n2+orders_n2",
+      "customer_n2+orders_n1"),
+      0.6666666666666666, 0.4166666666666667, 0.9333333333333333),
+    ("q21_part_leftjoin_partsupp", Seq("partsupp_n2", "part_n1", "part_n2", "partsupp_n1"),
+      0.03333333333333333, 0.008333333333333333, 0.7791666666666667),
+    ("q24_ps_part_supplier", Seq("partsupp_n2", "supplier_n1+partsupp_e1", "part_n1+partsupp_e1",
+      "supplier_n1+partsupp_e2", "part_e2+partsupp_e2", "part_e2+partsupp_e1",
+      "customer_n2+partsupp_e2", "customer_n2+partsupp_e1"),
+      0.1875, 0.04918032786885246, 0.796875),
+    ("q25_cust_nation_region", Seq("customer_n2", "nation_n1+customer_n1", "nation_n1+customer_n2",
+      "nation_n2+customer_n2", "nation_n2+customer_n1", "customer_n1"),
+      0.0, 0.0, 0.875),
+    ("q26_union_of_joins", Seq("orders_n1", "customer_n2+orders_n2", "customer_n1+orders_n1",
+      "customer_n2+orders_n1", "customer_n1+orders_n2"),
+      1.0, 1.0, 1.0)
+  )
+
+  test("Gen-T returns the pinned originating tables and scores") {
+    pinnedOutputs.foreach { case (name, originating, recall, precision, eis) =>
+      val src = bench.sources.find(_.name == name).get
+      val r = GenT.reclaim(bench.repo, bench.index, src, spark)
+      assert(r.originating == originating, name)
+      val s = Metrics.all(r.reclaimed, src)
+      Seq(("recall", s.recall, recall), ("precision", s.precision, precision), ("EIS", s.eis, eis))
+        .foreach { case (m, got, want) =>
+          assert(math.abs(got - want) <= 1e-12, s"$name $m: $got vs $want")
+        }
+    }
+  }
 }

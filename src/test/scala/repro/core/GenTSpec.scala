@@ -1,7 +1,8 @@
 package repro.core
 
 import java.nio.file.Files
-import repro.{Fixtures, SparkSpec}
+import repro.{Fixtures, JobCounter, SparkSpec}
+import repro.discovery.SetSimilarity
 import repro.lake.{LakeIndex, TableRepo}
 
 /** Gen-T end to end on the Figure 3 lake. */
@@ -55,5 +56,48 @@ class GenTSpec extends SparkSpec {
     val r = GenT.reclaim(repo, index, source, spark)
     assert(r.candidates.nonEmpty)
     assert(r.millis >= 0)
+  }
+
+  test("reclaimFromCandidates releases every DataFrame it caches") {
+    val sc = spark.sparkContext
+    val cands = SetSimilarity.findCandidates(repo, index, source, spark)
+    val before = sc.getPersistentRDDs.keySet
+    val r = GenT.reclaimFromCandidates(repo, cands, source, spark)
+    assert(r.originating.nonEmpty)
+    assert(sc.getPersistentRDDs.keySet == before)
+  }
+
+  test("reclaimFromCandidates submits a fixed number of Spark jobs") {
+    // Keyed versions of B and D next to A, so that several keyed tables
+    // are picked and folded; B and D themselves need Expand.
+    val root = Files.createTempDirectory("gent-jobs").toString
+    val idName = Fixtures.tableA(spark).select("ID", "Name")
+    val jobsRepo = TableRepo.create(root, spark, Map(
+      "A" -> Fixtures.tableA(spark),
+      "B" -> Fixtures.tableB(spark),
+      "D" -> Fixtures.tableD(spark),
+      "AB" -> idName.join(Fixtures.tableB(spark), "Name"),
+      "AD" -> idName.join(Fixtures.tableD(spark), "Name")))
+    def cand(name: String) = SetSimilarity.Candidate(
+      name, jobsRepo.read(name).columns.map(c => c -> c).toMap, 1.0)
+    // Jobs as the benchmark runs them: without adaptive execution, which
+    // submits one job per query stage.
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    def run(names: String*): (GenT.Result, Int) = {
+      val cands = names.map(cand) // opening a table is a job of its own
+      JobCounter(spark)(GenT.reclaimFromCandidates(jobsRepo, cands, source, spark))
+    }
+    try {
+      val (one, oneJobs) = run("A")
+      val (keyed, keyedJobs) = run("A", "AB", "AD")
+      val (expanded, expandedJobs) = run("A", "B", "D")
+      assert(one.originating == Seq("A"))
+      assert(keyed.originating.size >= 2, s"got ${keyed.originating}")
+      assert(expanded.originating.exists(_.contains("+")), s"got ${expanded.originating}")
+      assert(Seq(oneJobs, keyedJobs) == Seq(1, 1), "every candidate keyed: one collect")
+      assert(expandedJobs == 3, "Expand's two weight jobs, then one collect")
+      assert(keyed.reclaimed.collect().toSet == source.df.collect().toSet)
+    } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
   }
 }

@@ -1,10 +1,11 @@
 package repro.core
 
 import repro.{Fixtures, SparkSpec}
+import repro.core.KeyedRows.Table
 import repro.discovery.Expand
 import repro.lake.SourceTable
 
-/** Table Integration (Algorithm 2). */
+/** Table Integration (Algorithm 2) on the driver-side kernel. */
 class IntegrationSpec extends SparkSpec {
 
   private val N: String = null
@@ -21,67 +22,76 @@ class IntegrationSpec extends SparkSpec {
     Expand.expandAll(names.map(n => n -> all(n)), source, w)
   }
 
+  private def integrate(names: String*): (KeyedRows.Source, Table) = {
+    val (src, tabs) = KeyedRows.collect(source, expanded(names: _*).map(_.df))
+    (src, Integration.integrate(tabs, src))
+  }
+
+  private def cell(t: Table, row: Seq[String], c: String): String = row(t.columns.indexOf(c))
+
   test("labeledSource replaces nulls with deterministic tokens") {
-    val lab = Integration.labeledSource(source)
-    val smith = lab.df.filter(lab.df("ID") === "0").collect()(0)
-    val g = smith.getString(smith.fieldIndex("Gender"))
+    val (src, _) = KeyedRows.collect(source, Seq.empty)
+    val lab = Integration.labeledSource(src).table
+    val smith = lab.rows.find(cell(lab, _, "ID") == "0").get
+    val g = cell(lab, smith, "Gender")
     assert(g != null && g.startsWith(Integration.NullLabelPrefix))
     // Non-null cells unchanged.
-    assert(smith.getString(smith.fieldIndex("Name")) == "Smith")
+    assert(cell(lab, smith, "Name") == "Smith")
   }
 
   test("labelNulls labels only cells null in BOTH table and source") {
-    val a = Fixtures.tableA(spark) // Brown's Education is null; S has Masters
-    val lab = Integration.labelNulls(a, source)
-    val brown = lab.filter(lab("Name") === "Brown").collect()(0)
+    // Brown's Education is null in A; S has Masters.
+    val (src, Seq(a)) = KeyedRows.collect(source, Seq(Fixtures.tableA(spark)))
+    val lab = Integration.labelNulls(a, src)
+    val brown = lab.rows.find(cell(lab, _, "Name") == "Brown").get
     // S has Masters there → stays a real null (so κ can fill it later).
-    assert(brown.getString(brown.fieldIndex("Education")) == null)
+    assert(cell(lab, brown, "Education") == null)
   }
 
   test("labelNulls labels a shared null so it cannot be over-combined") {
     val d = Expand.joinCoalesce(Fixtures.tableD(spark), Fixtures.tableA(spark), "Name")
-    val lab = Integration.labelNulls(d, source)
-    val smith = lab.filter(lab("Name") === "Smith").collect()(0)
-    val g = smith.getString(smith.fieldIndex("Gender"))
+    val (src, Seq(dt)) = KeyedRows.collect(source, Seq(d))
+    val lab = Integration.labelNulls(dt, src)
+    val smith = lab.rows.find(cell(lab, _, "Name") == "Smith").get
+    val g = cell(lab, smith, "Gender")
     // D's Smith Gender is null and S's is null → labeled.
     assert(g != null && g.startsWith(Integration.NullLabelPrefix))
   }
 
   test("removeLabeledNulls restores nulls and only nulls") {
-    val lab = Integration.labeledSource(source)
-    val back = Integration.removeLabeledNulls(lab.df)
-    assert(back.collect().toSet == source.df.collect().toSet)
+    val (src, _) = KeyedRows.collect(source, Seq.empty)
+    val back = Integration.removeLabeledNulls(Integration.labeledSource(src).table)
+    assert(back == src.table)
   }
 
   test("integrating A, B, D reclaims the Figure 3 source exactly") {
-    val tabs = expanded("A", "B", "D").map(_.df)
-    val out = Integration.integrate(tabs, source)
-    assert(out.collect().toSet == source.df.collect().toSet)
+    val (src, out) = integrate("A", "B", "D")
+    assert(out.rows.toSet == src.table.rows.toSet)
   }
 
   test("integrating A and D alone also reclaims the source exactly") {
-    val out = Integration.integrate(expanded("A", "D").map(_.df), source)
-    assert(out.collect().toSet == source.df.collect().toSet)
+    val (src, out) = integrate("A", "D")
+    assert(out.rows.toSet == src.table.rows.toSet)
   }
 
   test("integrating with contradicting C keeps erroneous tuples separate, not merged") {
-    val out = Integration.integrate(expanded("A", "B", "C", "D").map(_.df), source)
+    val (src, out) = integrate("A", "B", "C", "D")
     // Every source tuple must still be reclaimed exactly (EIS guard keeps
     // the correct tuples); extra C-derived tuples may exist.
-    val outRows = out.collect().toSet
-    source.df.collect().foreach(r => assert(outRows.contains(r), s"missing $r"))
+    val outRows = out.rows.toSet
+    src.table.rows.foreach(r => assert(outRows.contains(r), s"missing $r"))
   }
 
   test("integration output always has the source schema") {
-    val onlyA = expanded("A").map(_.df)
-    val out = Integration.integrate(onlyA, source)
-    assert(out.columns.toSeq == source.df.columns.toSeq)
+    val (_, out) = integrate("A")
+    assert(out.columns == source.df.columns.toSeq)
   }
 
   test("integration of an empty table set is the empty source-shaped table") {
-    val out = Integration.integrate(Seq.empty, source)
-    assert(out.columns.toSeq == source.df.columns.toSeq)
-    assert(out.count() == 0)
+    val (src, _) = KeyedRows.collect(source, Seq.empty)
+    val out = Integration.integrate(Seq.empty, src)
+    assert(out.columns == source.df.columns.toSeq)
+    assert(out.rows.isEmpty)
   }
 
   test("conditional subsumption does not remove a tuple that matches a source null") {
@@ -92,8 +102,8 @@ class IntegrationSpec extends SparkSpec {
       Fixtures.stringDf(spark, Seq("k", "a", "b"), Seq(Seq("1", "x", N))), Seq("k"))
     val tGood = Fixtures.stringDf(spark, Seq("k", "a", "b"), Seq(Seq("1", "x", N)))
     val tOver = Fixtures.stringDf(spark, Seq("k", "a", "b"), Seq(Seq("1", "x", "y")))
-    val out = Integration.integrate(Seq(tGood, tOver), src)
-    val rows = out.collect().map(r => (r.getString(0), r.getString(1), r.getString(2))).toSet
-    assert(rows.contains(("1", "x", null)), s"got $rows")
+    val (s, tabs) = KeyedRows.collect(src, Seq(tGood, tOver))
+    val rows = Integration.integrate(tabs, s).rows.toSet
+    assert(rows.contains(Seq("1", "x", null)), s"got $rows")
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import repro.{Fixtures, SparkSpec}
+import repro.SparkSpec
 
 /** Property-based checks of the pairwise tuple operators (driver-side
   * closures shared by β, κ, and the FD substrate). Raw ScalaCheck is used
@@ -79,16 +79,15 @@ class OperatorsPropSpec extends SparkSpec {
     })
   }
 
-  test("Spark subsumption agrees with the in-memory group closure") {
-    check(Prop.forAll(rows(2)) { rs =>
-      val withKey = rs.map("K" +: _)
-      if (withKey.isEmpty) true
-      else {
-        val df = Fixtures.stringDf(spark, Seq("k", "x", "y"), withKey)
-        val out = Operators.subsumption(df, Seq("k")).collect()
-          .map(r => Seq(r.getString(1), r.getString(2))).toSet
-        out == Operators.subsumeGroup(rs.map(_.toList)).map(_.toSeq).toSet
-      }
-    }, min = 12)
+  test("kernel subsumption agrees with the in-memory group closure per key") {
+    val keyed: Gen[Seq[Seq[String]]] = Gen.choose(0, 8).flatMap(k =>
+      Gen.listOfN(k, Gen.zip(Gen.oneOf(null, "K1", "K2"), row(2)).map { case (key, r) => key +: r })
+        .map(_.toSeq))
+    check(Prop.forAll(keyed) { rs =>
+      val out = KeyedRows.subsumption(KeyedRows.Table(Vector("k", "x", "y"), rs), Seq("k")).rows
+      val perKey = rs.filter(_.head != null).groupBy(_.head).values
+        .flatMap(g => Operators.subsumeGroup(g)).toSeq
+      out.sortBy(_.mkString("|")) == (perKey ++ rs.filter(_.head == null)).sortBy(_.mkString("|"))
+    })
   }
 }

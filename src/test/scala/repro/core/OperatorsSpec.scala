@@ -5,13 +5,17 @@ import repro.{Fixtures, Oracle, SparkSpec}
 import repro.lake.SourceTable
 
 /** Integration operators (§IV-B) + Theorem 8's representative-operator
-  * lemmas, checked against DuckDB via the Oracle.
+  * lemmas, checked against DuckDB via the Oracle: the DataFrame ⊎, π, σ
+  * and padding, and the driver-side InnerUnion, β, κ and minimal form of
+  * [[KeyedRows]].
   */
 class OperatorsSpec extends SparkSpec {
 
   private val N: String = null
   private def df(cols: Seq[String], rows: Seq[Seq[String]]) =
     Fixtures.stringDf(spark, cols, rows)
+  private def tbl(cols: Seq[String], rows: Seq[Seq[String]]) =
+    KeyedRows.Table(cols.toIndexedSeq, rows)
 
   // -------------------------------------------------- outer union
 
@@ -77,83 +81,81 @@ class OperatorsSpec extends SparkSpec {
   // -------------------------------------------------- inner union groups
 
   test("innerUnionGroups unions only same-schema tables") {
-    val a = df(Seq("k", "x"), Seq(Seq("1", "a")))
-    val b = df(Seq("k", "x"), Seq(Seq("2", "b")))
-    val c = df(Seq("k", "y"), Seq(Seq("3", "c")))
-    val groups = Operators.innerUnionGroups(Seq(a, b, c))
+    val a = tbl(Seq("k", "x"), Seq(Seq("1", "a")))
+    val b = tbl(Seq("x", "k"), Seq(Seq("b", "2")))
+    val c = tbl(Seq("k", "y"), Seq(Seq("3", "c")))
+    val groups = KeyedRows.innerUnionGroups(Seq(a, b, c))
     assert(groups.size == 2)
-    assert(groups.map(_.count()).sorted == Seq(1L, 2L))
+    assert(groups.map(_.rows.size).sorted == Seq(1, 2))
+    val ab = groups.find(_.rows.size == 2).get
+    assert(ab.columns == Seq("k", "x") && ab.rows.toSet == Set(Seq("1", "a"), Seq("2", "b")))
   }
 
   // -------------------------------------------------- subsumption
 
   test("subsumption removes a strictly-less-informative tuple") {
-    val t = df(Seq("k", "a", "b"),
+    val t = tbl(Seq("k", "a", "b"),
       Seq(Seq("1", "x", "y"), Seq("1", "x", N), Seq("1", N, N)))
-    val out = Operators.subsumption(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert(out(0).getString(1) == "x" && out(0).getString(2) == "y")
+    val out = KeyedRows.subsumption(t, Seq("k")).rows
+    assert(out == Seq(Seq("1", "x", "y")))
   }
 
   test("subsumption keeps contradicting tuples apart") {
-    val t = df(Seq("k", "a"), Seq(Seq("1", "x"), Seq("1", "z")))
-    assert(Operators.subsumption(t, Seq("k")).count() == 2)
+    val t = tbl(Seq("k", "a"), Seq(Seq("1", "x"), Seq("1", "z")))
+    assert(KeyedRows.subsumption(t, Seq("k")).rows.size == 2)
   }
 
   test("subsumption never merges across different keys") {
-    val t = df(Seq("k", "a"), Seq(Seq("1", "x"), Seq("2", N)))
-    assert(Operators.subsumption(t, Seq("k")).count() == 2)
+    val t = tbl(Seq("k", "a"), Seq(Seq("1", "x"), Seq("2", N)))
+    assert(KeyedRows.subsumption(t, Seq("k")).rows.size == 2)
   }
 
   test("subsumption is idempotent") {
-    val t = df(Seq("k", "a", "b"),
+    val t = tbl(Seq("k", "a", "b"),
       Seq(Seq("1", "x", N), Seq("1", N, "y"), Seq("2", "p", "q"), Seq("2", "p", "q")))
-    val once = Operators.subsumption(t, Seq("k"))
-    val twice = Operators.subsumption(once, Seq("k"))
-    assert(once.collect().toSet == twice.collect().toSet)
+    val once = KeyedRows.subsumption(t, Seq("k"))
+    val twice = KeyedRows.subsumption(once, Seq("k"))
+    assert(once.rows.toSet == twice.rows.toSet)
   }
 
   test("subsumption deduplicates identical tuples") {
-    val t = df(Seq("k", "a"), Seq(Seq("1", "x"), Seq("1", "x")))
-    assert(Operators.subsumption(t, Seq("k")).count() == 1)
+    val t = tbl(Seq("k", "a"), Seq(Seq("1", "x"), Seq("1", "x")))
+    assert(KeyedRows.subsumption(t, Seq("k")).rows.size == 1)
   }
 
   // -------------------------------------------------- complementation
 
   test("complementation merges two complementary tuples") {
-    val t = df(Seq("k", "a", "b"), Seq(Seq("1", "x", N), Seq("1", N, "y")))
-    val out = Operators.complementation(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert(out(0).getString(1) == "x" && out(0).getString(2) == "y")
+    val t = tbl(Seq("k", "a", "b"), Seq(Seq("1", "x", N), Seq("1", N, "y")))
+    val out = KeyedRows.complementation(t, Seq("k")).rows
+    assert(out == Seq(Seq("1", "x", "y")))
   }
 
   test("complementation leaves contradicting tuples apart") {
-    val t = df(Seq("k", "a", "b"),
+    val t = tbl(Seq("k", "a", "b"),
       Seq(Seq("1", "x", "u"), Seq("1", "z", N)))
-    assert(Operators.complementation(t, Seq("k")).count() == 2)
+    assert(KeyedRows.complementation(t, Seq("k")).rows.size == 2)
   }
 
   test("complementation chains through a fixpoint") {
-    val t = df(Seq("k", "a", "b", "c"),
+    val t = tbl(Seq("k", "a", "b", "c"),
       Seq(Seq("1", "x", N, N), Seq("1", N, "y", N), Seq("1", N, N, "z")))
-    val out = Operators.complementation(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert((1 to 3).map(out(0).getString) == Seq("x", "y", "z"))
+    val out = KeyedRows.complementation(t, Seq("k")).rows
+    assert(out == Seq(Seq("1", "x", "y", "z")))
   }
 
   test("complementation does not merge tuples of different keys") {
-    val t = df(Seq("k", "a", "b"), Seq(Seq("1", "x", N), Seq("2", N, "y")))
-    assert(Operators.complementation(t, Seq("k")).count() == 2)
+    val t = tbl(Seq("k", "a", "b"), Seq(Seq("1", "x", N), Seq("2", N, "y")))
+    assert(KeyedRows.complementation(t, Seq("k")).rows.size == 2)
   }
 
   // -------------------------------------------------- minimal form
 
   test("minimalForm = dedupe + β + κ") {
-    val t = df(Seq("k", "a", "b"),
+    val t = tbl(Seq("k", "a", "b"),
       Seq(Seq("1", "x", N), Seq("1", "x", N), Seq("1", N, "y"), Seq("1", "x", "y")))
-    val out = Operators.minimalForm(t, Seq("k")).collect()
-    assert(out.length == 1)
-    assert(out(0).getString(1) == "x" && out(0).getString(2) == "y")
+    val out = KeyedRows.minimalForm(t, Seq("k")).rows
+    assert(out == Seq(Seq("1", "x", "y")))
   }
 
   test("padToSourceSchema adds missing columns as nulls in source order") {
@@ -167,40 +169,47 @@ class OperatorsSpec extends SparkSpec {
 
   // -------------------------------------------------- Theorem 8 lemmas
 
-  private val t1 = df(Seq("k", "a"),
-    Seq(Seq("1", "a1"), Seq("2", "a2"), Seq("3", "a3")))
-  private val t2 = df(Seq("k", "b"),
-    Seq(Seq("2", "b2"), Seq("3", "b3"), Seq("4", "b4")))
+  private val t1Rows = Seq(Seq("1", "a1"), Seq("2", "a2"), Seq("3", "a3"))
+  private val t2Rows = Seq(Seq("2", "b2"), Seq("3", "b3"), Seq("4", "b4"))
+  private val t1 = df(Seq("k", "a"), t1Rows)
+  private val t2 = df(Seq("k", "b"), t2Rows)
+  private val k1 = tbl(Seq("k", "a"), t1Rows)
+  private val k2 = tbl(Seq("k", "b"), t2Rows)
+
+  /** The kernel's rows as a DataFrame on (k, a, b), for the DuckDB oracle. */
+  private def kab(t: KeyedRows.Table) =
+    KeyedRows.toDf(KeyedRows.padTo(t, Vector("k", "a", "b")), spark)
 
   /** σ(T1.C = T2.C ≠ ⊥, β(κ(T1 ⊎ T2))) — Lemma 12's right-hand side,
     * built from our operators (κ, β grouped on the shared column).
     */
   private def lemma12Rhs = {
-    val merged = Operators.subsumption(
-      Operators.complementation(Operators.outerUnion(t1, t2), Seq("k")), Seq("k"))
-    merged.where(col("a").isNotNull && col("b").isNotNull)
+    val merged = KeyedRows.subsumption(
+      KeyedRows.complementation(KeyedRows.outerUnion(k1, k2), Seq("k")), Seq("k"))
+    val (a, b) = (merged.columns.indexOf("a"), merged.columns.indexOf("b"))
+    merged.copy(rows = merged.rows.filter(r => r(a) != null && r(b) != null))
   }
 
   test("Lemma 12: inner join ≡ σβκ(T1 ⊎ T2) — against DuckDB") {
     Oracle.assertEquivalent(
-      lemma12Rhs.select(col("k"), col("a"), col("b")),
+      kab(lemma12Rhs),
       "SELECT t1.k AS k, a, b FROM t1 JOIN t2 ON t1.k = t2.k",
       "t1" -> t1, "t2" -> t2)
   }
 
   test("Lemma 13: left join ≡ β((T1 ⋈ T2) ⊎ T1) — against DuckDB") {
-    val lhs = Operators.subsumption(Operators.outerUnion(lemma12Rhs, t1), Seq("k"))
+    val lhs = KeyedRows.subsumption(KeyedRows.outerUnion(lemma12Rhs, k1), Seq("k"))
     Oracle.assertEquivalent(
-      lhs.select(col("k"), col("a"), col("b")),
+      kab(lhs),
       "SELECT t1.k AS k, a, b FROM t1 LEFT JOIN t2 ON t1.k = t2.k",
       "t1" -> t1, "t2" -> t2)
   }
 
   test("Lemma 14: full outer join ≡ β(β((T1 ⋈ T2) ⊎ T1) ⊎ T2) — against DuckDB") {
-    val left = Operators.subsumption(Operators.outerUnion(lemma12Rhs, t1), Seq("k"))
-    val full = Operators.subsumption(Operators.outerUnion(left, t2), Seq("k"))
+    val left = KeyedRows.subsumption(KeyedRows.outerUnion(lemma12Rhs, k1), Seq("k"))
+    val full = KeyedRows.subsumption(KeyedRows.outerUnion(left, k2), Seq("k"))
     Oracle.assertEquivalent(
-      full.select(col("k"), col("a"), col("b")),
+      kab(full),
       "SELECT COALESCE(t1.k, t2.k) AS k, a, b FROM t1 FULL JOIN t2 ON t1.k = t2.k",
       "t1" -> t1, "t2" -> t2)
   }

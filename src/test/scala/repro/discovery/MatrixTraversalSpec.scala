@@ -1,6 +1,7 @@
 package repro.discovery
 
 import repro.{Fixtures, SparkSpec}
+import repro.core.KeyedRows
 
 /** Matrix Traversal (Algorithm 1, §V-A3) on the paper's Figure 3/5
   * scenario: candidates A, B(+A), C(+A), D(+A); traversal must reject the
@@ -23,8 +24,14 @@ class MatrixTraversalSpec extends SparkSpec {
     Expand.expandAll(Seq("A" -> a, "B" -> b, "C" -> c, "D" -> d), source, w)
   }
 
+  /** The fixture's matrices, initialized from its rows on the driver. */
+  private def matrices(expanded: Seq[Expand.Expanded]): Map[String, MatrixTraversal.Matrix] = {
+    val (src, tables) = KeyedRows.collect(source, expanded.map(_.df))
+    MatrixTraversal.initMatrices(expanded.map(_.name).zip(tables), src)
+  }
+
   test("matrix of Table A codes matches Figure 5") {
-    val ms = MatrixTraversal.initMatrices(expandedFixture, source)
+    val ms = matrices(expandedFixture)
     val mA = ms("A")
     // Row 0 (Smith): Name=1, Age=0 (A lacks Age → null, S non-null),
     // Gender=1 (both null), Education=1.
@@ -37,7 +44,7 @@ class MatrixTraversalSpec extends SparkSpec {
   }
 
   test("matrix of expanded C has -1 codes for contradicting Gender") {
-    val ms = MatrixTraversal.initMatrices(expandedFixture, source)
+    val ms = matrices(expandedFixture)
     val mC = ms.keys.find(_.contains("C")).map(ms).get
     // Wang's Gender is Male in C but Female in S → -1 at Gender.
     assert(mC.rows("2").head(2) == -1)
@@ -76,7 +83,7 @@ class MatrixTraversalSpec extends SparkSpec {
 
   test("traversal keeps A/B/D and rejects contradicting C (Example 10)") {
     val expanded = expandedFixture
-    val ms = MatrixTraversal.initMatrices(expanded, source)
+    val ms = matrices(expanded)
     val picked = MatrixTraversal.traverse(ms, 3, nNonKey)
     assert(picked.nonEmpty)
     assert(!picked.exists(_.contains("C")), s"C must be rejected, got $picked")
