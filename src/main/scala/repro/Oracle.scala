@@ -10,6 +10,8 @@ import scala.jdk.CollectionConverters._
   * (via JDBC, in-process) over ``tables`` and asserts the sorted rows
   * match ``sparkDf``. This catches wrong results from a rewritten plan
   * or a custom operator — "it ran" is not "it is correct".
+  * ``query(sql, tables)`` returns DuckDB's rows themselves, for a
+  * reference that compares numbers at full precision.
   *
   * Alias every output column identically on both sides (Spark names
   * ``count(*)`` as ``count(1)``, DuckDB as ``count_star()``). Project
@@ -33,7 +35,11 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** Run ``sql`` on DuckDB over ``tables`` (every column VARCHAR); return
+    * the output's column labels and rows, each value as DuckDB's JDBC
+    * driver returns it (a DOUBLE at full precision).
+    */
+  def query(sql: String, tables: (String, DataFrame)*): (Seq[String], Seq[Row]) = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -60,18 +66,23 @@ object Oracle {
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
         .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+      (dCols, dRows)
     } finally conn.close()
+  }
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val (dCols, dRows) = query(sql, tables: _*)
+    val sCols = sparkDf.columns.toSeq
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
+    val got = canon(sparkDf.collect().toSeq, sCols)
+    val exp = canon(dRows, dCols)
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:  ${exp.diff(got).take(3)}"
+    )
   }
 }

@@ -98,9 +98,9 @@ object MemTable {
       spark.sparkContext.parallelize(t.rows.map(Row.fromSeq(_)), 1), schema)
   }
 
-  /** In-memory EIS against a source MemTable: [[repro.core.KeyedRows.eis]],
-    * the semantics of [[repro.core.Similarity.eis]], used to score search
-    * states cheaply.
+  /** In-memory EIS against a source MemTable, used to score search states
+    * cheaply: [[repro.core.KeyedRows.eis]], the one EIS that
+    * [[repro.core.Metrics]] also reports.
     */
   def eis(t: MemTable, source: MemTable, keys: Seq[String]): Double =
     KeyedRows.eis(KeyedRows.Table(t.cols, t.rows),

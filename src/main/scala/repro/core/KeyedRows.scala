@@ -151,31 +151,44 @@ object KeyedRows {
     }
   }
 
-  /** The three-valued codes of Eq. (4) for every pair of a source row and
-    * a row of `t` with the same key tuple, one per non-key column of S:
-    * 1 where they agree (null-safe), 0 where S is non-null and `t` null,
-    * −1 otherwise (a contradicting value, or a value where S is null). A
-    * pair's α − δ is the sum of its codes. Grouped by key tuple in order
-    * of first appearance in `t`, source row major; source columns `t`
-    * lacks are null in `t`, and a `t` lacking a key column aligns nothing.
+  /** The alignment of `t` with the source that every score reads: for
+    * each key tuple of `t` that S has, every pair of a source row and a
+    * row of `t` with that key tuple, both on S's non-key columns (a column
+    * `t` lacks is null). Grouped by key tuple in order of first appearance
+    * in `t`, source row major; rows with a null key cell, and every row of
+    * a `t` lacking a key column, align with nothing, as in an equi-join.
     */
-  def codes(t: Table, source: Source): Seq[(Seq[String], Seq[Vector[Int]])] = {
+  def align(t: Table, source: Source)
+      : Seq[(Seq[String], Seq[(IndexedSeq[String], IndexedSeq[String])])] = {
     val sPos = source.nonKeyColumns.map(source.table.columns.indexOf)
     val tPos = source.nonKeyColumns.map(t.columns.indexOf)
     keyPositions(t, source.keys).toSeq.flatMap(idx => keyGroups(t.rows, idx)).flatMap { case (k, rs) =>
       source.byKey.get(k).map { ss =>
-        k -> (for (s <- ss; r <- rs) yield sPos.indices.map { i =>
-          val sv = s(sPos(i)); val tv = if (tPos(i) >= 0) r(tPos(i)) else null
-          if (sv == tv) 1 else if (sv != null && tv == null) 0 else -1
-        }.toVector)
+        val tn = rs.map(r => tPos.map(i => if (i >= 0) r(i) else null))
+        k -> (for (s <- ss.map(s => sPos.map(s)); r <- tn) yield (s, r))
       }
     }
   }
 
-  /** EIS of Definition 5 / Eq. (3), as [[Similarity.eis]] computes it:
-    * each source key tuple that `t` aligns with adds 1 + max(α − δ)/n
-    * over the pairs of [[codes]]; the sum is halved and divided by |S|
-    * rows.
+  /** The three-valued code of Eq. (4) for a source cell `s` and the cell
+    * `t` aligned with it: 1 where they agree (null-safe), 0 where `s` is
+    * non-null and `t` null, −1 otherwise (a contradicting value, or a
+    * value where `s` is null). A pair's α − δ is the sum of its codes.
+    */
+  private def code(s: String, t: String): Int =
+    if (s == t) 1 else if (s != null && t == null) 0 else -1
+
+  /** The codes of every pair of [[align]], one per non-key column of S. */
+  def codes(t: Table, source: Source): Seq[(Seq[String], Seq[Vector[Int]])] =
+    align(t, source).map { case (k, pairs) =>
+      k -> pairs.map { case (s, r) => s.indices.map(i => code(s(i), r(i))).toVector }
+    }
+
+  /** EIS of Definition 5 / Eq. (3): each source key tuple that `t` aligns
+    * with adds 1 + max(α − δ)/n over the pairs of [[codes]]; the sum is
+    * halved and divided by |S| rows (1.0 for an empty S). The one EIS of
+    * the code base: Integration's guard, the baselines' search and
+    * [[Metrics]] all call it.
     */
   def eis(t: Table, source: Source): Double = {
     val total = source.size

@@ -1,14 +1,20 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import repro.core.KeyedRows.{Source, Table}
 import repro.lake.SourceTable
 
-/** Evaluation metrics of §VI-A2 and Appendix E.
+/** Evaluation metrics of §VI-A2 and Appendix E, on the driver-side
+  * kernel: [[all]] brings S and the reclaimed table Ŝ to the driver in one
+  * [[KeyedRows.collect]] and scores their rows there. Every score but
+  * recall/precision reads the one alignment of Ŝ with S,
+  * [[KeyedRows.align]].
   *
   *   - Recall/Precision derived from ALITE's Tuple Difference Ratio:
   *     `Rec = |S∩Ŝ|/|S|`, `Pre = |S∩Ŝ|/|Ŝ|` with set semantics over full
-  *     rows on S's schema (Spark's INTERSECT is null-safe + distinct).
+  *     rows on S's schema: both sides de-duplicated, nulls equal (as SQL's
+  *     INTERSECT compares them).
+  *   - EIS (Eq. 3), [[KeyedRows.eis]].
   *   - Instance Divergence = 1 − instance similarity (Eq. 2).
   *   - Conditional KL-divergence (Eqs. 11–12) with ε-smoothing so the
   *     score is finite; erroneous values are penalized harder than nulls
@@ -37,76 +43,64 @@ object Metrics {
     def sizeRatio: Double = if (sourceCells == 0) 0 else outputCells.toDouble / sourceCells
   }
 
-  def recallPrecision(reclaimed: DataFrame, source: SourceTable): (Double, Double) = {
-    val r = Operators.padToSourceSchema(reclaimed, source).distinct()
-    val s = source.df.distinct()
-    val inter = s.intersect(r).count().toDouble
-    val sN = s.count(); val rN = r.count()
-    (if (sN == 0) 1.0 else inter / sN, if (rN == 0) 0.0 else inter / rN)
+  /** Recall and precision of `out`, a table on S's columns. An empty S has
+    * recall 1.0; an empty `out` has precision 0.
+    */
+  def recallPrecision(out: Table, source: Source): (Double, Double) = {
+    require(out.columns == source.table.columns, s"${out.columns} is not on S's columns")
+    val s = source.table.rows.toSet
+    val r = out.rows.toSet
+    val inter = s.count(r).toDouble
+    (if (s.isEmpty) 1.0 else inter / s.size, if (r.isEmpty) 0.0 else inter / r.size)
   }
 
-  def instanceDivergence(reclaimed: DataFrame, source: SourceTable): Double =
-    1.0 - Similarity.instanceSimilarity(reclaimed, source)
-
-  /** Conditional KL-divergence of the reclaimed table w.r.t. the source. */
-  def conditionalKl(reclaimed: DataFrame, source: SourceTable): Double = {
-    val nk = source.nonKeyColumns
-    if (nk.isEmpty) return 0.0
-    val r = Operators.padToSourceSchema(reclaimed, source)
-    val rA = r.select(r.columns.map(c => col(c).as(s"r_$c")).toIndexedSeq: _*)
-    val joinCond = source.keys.map(k => col(k) === col(s"r_$k")).reduce(_ && _)
-    val joined = source.df.join(rA, joinCond, "inner")
-    if (joined.isEmpty) return KlNoKeys
-
-    // Per key and column: Q(x|k) = fraction of aligned tuples carrying the
-    // source value, Q(¬x|k) = fraction carrying a different non-null value.
-    val perKey = joined
-      .groupBy(source.keys.map(col): _*)
-      .agg(
-        nk.flatMap { c =>
-          Seq(
-            avg((col(c) <=> col(s"r_$c")).cast("double")).as(s"q1_$c"),
-            avg((col(s"r_$c").isNotNull && !(col(c) <=> col(s"r_$c"))).cast("double"))
-              .as(s"qe_$c"))
-        }.head,
-        nk.flatMap { c =>
-          Seq(
-            avg((col(c) <=> col(s"r_$c")).cast("double")).as(s"q1_$c"),
-            avg((col(s"r_$c").isNotNull && !(col(c) <=> col(s"r_$c"))).cast("double"))
-              .as(s"qe_$c"))
-        }.tail: _*)
-
-    val terms = nk.map { c =>
-      (-(log(greatest(col(s"q1_$c"), lit(Eps))) +
-        log(greatest(lit(1.0) - col(s"qe_$c"), lit(Eps))))).as(s"t_$c")
+  /** Instance similarity of Definition 5 / Eq. (2), in [0, 1]: as EIS,
+    * but α counts only shared non-null values (Example 6's t0 of Ŝ2
+    * scores 2/4) and errors are not subtracted.
+    */
+  def instanceSimilarity(out: Table, source: Source): Double = {
+    val total = source.size
+    if (total == 0) return 1.0
+    val n = math.max(1, source.nonKeyColumns.size)
+    val best = KeyedRows.align(out, source).map { case (_, pairs) =>
+      pairs.map { case (s, r) => s.indices.count(i => s(i) != null && s(i) == r(i)) }.max
     }
-    val row = perKey.select(terms: _*)
-      .agg(nk.map(c => avg(col(s"t_$c")).as(s"a_$c")).head,
-           nk.map(c => avg(col(s"t_$c")).as(s"a_$c")).tail: _*)
-      .collect()(0)
-    val sumCols = nk.indices.map(i => if (row.isNullAt(i)) 0.0 else row.getDouble(i)).sum
-
-    val matchedKeys = perKey.count().toDouble
-    val totalKeys = source.df.select(source.keys.map(col): _*).distinct().count().toDouble
-    val qK = if (totalKeys == 0) 1.0 else matchedKeys / totalKeys
-    if (qK <= 0) KlNoKeys else sumCols / (qK * nk.size)
+    best.sum.toDouble / n / total
   }
 
-  /** All scores of §VI-A2 for one (source, reclaimed) pair. */
+  /** Conditional KL-divergence of `out` w.r.t. the source: 0.0 when S has
+    * only key columns, [[KlNoKeys]] when no key tuple aligns. Q(K) counts
+    * the aligned key tuples over S's distinct key tuples, where a tuple
+    * with a null cell counts too (once), as SQL's DISTINCT counts it.
+    */
+  def conditionalKl(out: Table, source: Source): Double = {
+    val nk = source.nonKeyColumns.size
+    if (nk == 0) return 0.0
+    val perKey = KeyedRows.codes(out, source).map(_._2)
+    if (perKey.isEmpty) return KlNoKeys
+    // Per key and column: Q(x|k) = fraction of aligned pairs carrying the
+    // source value, Q(¬x|k) = fraction carrying a different non-null value.
+    val sumCols = (0 until nk).map { i =>
+      perKey.map { cs =>
+        val q1 = cs.count(_(i) == 1).toDouble / cs.size
+        val qe = cs.count(_(i) == -1).toDouble / cs.size
+        -(math.log(math.max(q1, Eps)) + math.log(math.max(1.0 - qe, Eps)))
+      }.sum / perKey.size
+    }.sum
+    val keyIdx = KeyedRows.requireKeys(source.table, source.keys)
+    val totalKeys = source.table.rows.map(r => keyIdx.map(r)).distinct.size
+    sumCols / (perKey.size.toDouble / totalKeys * nk)
+  }
+
+  /** All scores of §VI-A2 for one (source, reclaimed) pair, from one Spark
+    * job: the collect of S and `reclaimed`, padded to S's columns.
+    */
   def all(reclaimed: DataFrame, source: SourceTable): Scores = {
-    val cached = Operators.padToSourceSchema(reclaimed, source).cache()
-    try {
-      val (rec, pre) = recallPrecision(cached, source)
-      val instDiv = instanceDivergence(cached, source)
-      val kl = conditionalKl(cached, source)
-      val eisScore = Similarity.eis(cached, source)
-      val outCells = cached.count() * cached.columns.length
-      val srcCells = source.df.count() * source.df.columns.length
-      Scores(rec, pre, instDiv, kl, eisScore, outCells, srcCells)
-    } finally cached.unpersist()
+    val (src, Seq(own)) = KeyedRows.collect(source, Seq(reclaimed))
+    val out = KeyedRows.padTo(own, src.table.columns)
+    val (rec, pre) = recallPrecision(out, src)
+    val cells = out.columns.size.toLong
+    Scores(rec, pre, 1.0 - instanceSimilarity(out, src), conditionalKl(out, src),
+      KeyedRows.eis(out, src), out.rows.size * cells, src.size * cells)
   }
-
-  /** Scores for a method that produced no output (timeout / empty). */
-  def empty(source: SourceTable): Scores =
-    Scores(0.0, 0.0, 1.0, KlNoKeys, 0.0, 0L, source.df.count() * source.df.columns.length)
 }

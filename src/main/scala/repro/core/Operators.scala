@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.lake.SourceTable
 
@@ -8,14 +8,14 @@ import repro.lake.SourceTable
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
   * Complementation (κ).
   *
-  * The DataFrame operators here (⊎, π, σ, padding) serve discovery,
-  * Expand and the metrics. β and κ are pairwise tuple operators: two
-  * tuples can only subsume or complement each other if they agree on
-  * every attribute where both are non-null, so once every tuple carries a
-  * non-null source-key value (guaranteed after ProjectSelect/Expand) they
-  * reduce to the small per-key closures below, which
-  * [[KeyedRows]] runs per key group on the driver. The generic (key-free)
-  * variants needed by the ALITE baseline live in [[Fd]].
+  * The DataFrame operators here (⊎, π, σ) serve discovery and Expand.
+  * β and κ are pairwise tuple operators: two tuples can only subsume or
+  * complement each other if they agree on every attribute where both are
+  * non-null, so once every tuple carries a non-null source-key value
+  * (guaranteed after ProjectSelect/Expand) they reduce to the small
+  * per-key closures below, which [[KeyedRows]] runs per key group on the
+  * driver. The generic (key-free) variants needed by the ALITE baseline
+  * live in [[Fd]].
   */
 object Operators {
 
@@ -102,11 +102,20 @@ object Operators {
     distinct.filterNot(r => distinct.exists(r2 => !(r2 eq r) && r2 != r && subsumes(r2, r)))
   }
 
-  /** Apply κ within a small in-memory group: repeatedly replace a
-    * complementing pair with its merge until none remain.
+  /** Apply κ within a small in-memory group: [[mergeToFixpoint]] of
+    * [[complement]] and [[merge]].
     */
-  private[core] def complementGroup(rows: Seq[Seq[String]]): Seq[Seq[String]] = {
-    var cur = rows.distinct.toBuffer
+  private[core] def complementGroup(rows: Seq[Seq[String]]): Seq[Seq[String]] =
+    mergeToFixpoint(rows)(complement, merge)
+
+  /** The κ fixpoint loop, over any row type: starting from the distinct
+    * `rows`, repeatedly replace the first pair (in scan order) that
+    * `mergeable` accepts with its `merge` (appended unless already there),
+    * until no pair is mergeable.
+    */
+  private[repro] def mergeToFixpoint[R](rows: Seq[R])(
+      mergeable: (R, R) => Boolean, merge: (R, R) => R): Seq[R] = {
+    val cur = rows.distinct.toBuffer
     var changed = true
     while (changed) {
       changed = false
@@ -114,7 +123,7 @@ object Operators {
       while (i < cur.length && !changed) {
         var j = i + 1
         while (j < cur.length && !changed) {
-          if (complement(cur(i), cur(j))) {
+          if (mergeable(cur(i), cur(j))) {
             val m = merge(cur(i), cur(j))
             cur.remove(j); cur.remove(i)
             if (!cur.contains(m)) cur.append(m)
@@ -126,15 +135,5 @@ object Operators {
       }
     }
     cur.toSeq
-  }
-
-  /** Pad `df` with null columns for every source column it lacks, then
-    * order columns as in the source (Algorithm 2, lines 15–16).
-    */
-  def padToSourceSchema(df: DataFrame, source: SourceTable): DataFrame = {
-    val cols: Seq[Column] = source.df.columns.toIndexedSeq.map { c =>
-      if (df.columns.contains(c)) col(c) else lit(null).cast("string").as(c)
-    }
-    df.select(cols: _*)
   }
 }

@@ -1,6 +1,6 @@
 package repro.discovery
 
-import repro.core.KeyedRows
+import repro.core.{KeyedRows, Operators}
 
 /** Matrix Traversal (paper §V-A2/V-A3, Algorithm 1).
   *
@@ -60,33 +60,13 @@ object MatrixTraversal {
     r.count(_ == 1) - r.count(_ == -1)
 
   /** Combine the aligned rows of one key: merge compatible pairs to a
-    * fixpoint, keep {1,−1} conflicts separate.
+    * fixpoint ([[Operators.mergeToFixpoint]]), keep {1,−1} conflicts
+    * separate; the best `cap` rows by score remain.
     */
   private[discovery] def combineRows(
-      l1: Seq[CodeRow], l2: Seq[CodeRow], cap: Int): Seq[CodeRow] = {
-    val cur = (l1 ++ l2).distinct.toBuffer
-    var changed = true
-    while (changed) {
-      changed = false
-      var i = 0
-      while (i < cur.length && !changed) {
-        var j = i + 1
-        while (j < cur.length && !changed) {
-          if (!conflict(cur(i), cur(j))) {
-            val m = mergeCodes(cur(i), cur(j))
-            if (m != cur(i) || m != cur(j)) {
-              cur.remove(j); cur.remove(i)
-              if (!cur.contains(m)) cur.append(m)
-              changed = true
-            }
-          }
-          j += 1
-        }
-        i += 1
-      }
-    }
-    cur.sortBy(r => -rowScore(r)).take(cap).toSeq
-  }
+      l1: Seq[CodeRow], l2: Seq[CodeRow], cap: Int): Seq[CodeRow] =
+    Operators.mergeToFixpoint(l1 ++ l2)((a, b) => !conflict(a, b), mergeCodes)
+      .sortBy(r => -rowScore(r)).take(cap)
 
   def combine(a: Matrix, b: Matrix, cfg: Config = Config()): Matrix = {
     val keys = a.rows.keySet ++ b.rows.keySet

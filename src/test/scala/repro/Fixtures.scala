@@ -2,6 +2,7 @@ package repro
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import repro.core.KeyedRows
 import repro.lake.SourceTable
 
 /** Shared test fixtures, including the paper's running example
@@ -15,6 +16,14 @@ object Fixtures {
     val schema = StructType(cols.map(c => StructField(c, StringType, nullable = true)))
     spark.createDataFrame(
       spark.sparkContext.parallelize(rows.map(Row.fromSeq(_)), 1), schema)
+  }
+
+  /** `df` and `source` on the driver, `df` padded to the source's
+    * columns: the kernel tables that `Metrics.all` scores.
+    */
+  def onDriver(df: DataFrame, source: SourceTable): (KeyedRows.Table, KeyedRows.Source) = {
+    val (src, Seq(t)) = KeyedRows.collect(source, Seq(df))
+    (KeyedRows.padTo(t, src.table.columns), src)
   }
 
   private val N: String = null

@@ -1,13 +1,13 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
-import repro.{Fixtures, SparkSpec}
+import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.KeyedRows.{Source, Table}
 import repro.discovery.MatrixTraversal
 import repro.lake.SourceTable
 
-/** The driver-side kernel on edge inputs, against the DataFrame EIS, and
-  * §V-A3's claim that a table's matrix simulates its EIS.
+/** The driver-side kernel on edge inputs; its scores against a DuckDB SQL
+  * reference; and §V-A3's claim that a table's matrix simulates its EIS.
   */
 class KeyedRowsSpec extends SparkSpec {
 
@@ -19,19 +19,90 @@ class KeyedRowsSpec extends SparkSpec {
     assert(res.passed, res.status.toString)
   }
 
-  /** Integrate `tables` into `sourceRows` on the kernel; check that the
-    * kernel's EIS of every input and of the output equals
-    * [[Similarity.eis]], and return the output rows.
+  /** The scores of Ŝ = `out` against S = `source` with key `keys`, written
+    * from their definitions as one DuckDB query: EIS (Eq. 3), instance
+    * similarity (Eq. 2), recall and precision (set semantics, SQL's
+    * INTERSECT), and the ε-smoothed conditional KL (DESIGN.md §3). Ŝ's
+    * rows align with S's on equal, non-null key cells; a column Ŝ lacks
+    * is null.
+    */
+  private def sqlScores(source: Table, keys: Seq[String], out: Table): Seq[Double] = {
+    val nk = source.columns.filterNot(keys.contains)
+    val n = math.max(1, nk.size)
+    def sum(terms: Seq[String]): String = if (terms.isEmpty) "0" else terms.mkString(" + ")
+    val padded = source.columns.map(c =>
+      if (out.columns.contains(c)) c else s"CAST(NULL AS VARCHAR) AS $c").mkString(", ")
+    val alpha = sum(nk.map(c => s"CASE WHEN s.$c IS NOT DISTINCT FROM r.$c THEN 1 ELSE 0 END"))
+    val delta = sum(nk.map(c =>
+      s"CASE WHEN r.$c IS NOT NULL AND s.$c IS DISTINCT FROM r.$c THEN 1 ELSE 0 END"))
+    val shared = sum(nk.map(c => s"CASE WHEN s.$c = r.$c THEN 1 ELSE 0 END"))
+    val pairCols = nk.flatMap(c => Seq(
+      s"CASE WHEN s.$c IS NOT DISTINCT FROM r.$c THEN 1 ELSE 0 END AS x_$c",
+      s"CASE WHEN r.$c IS NOT NULL AND s.$c IS DISTINCT FROM r.$c THEN 1 ELSE 0 END AS e_$c"))
+    val eps = s"${Metrics.Eps}::DOUBLE"
+    val klTerms = nk.map(c =>
+      s"AVG(-(LN(GREATEST(q_$c, $eps)) + LN(GREATEST(1 - qe_$c, $eps))))").mkString(" + ")
+    val kl =
+      if (nk.isEmpty) "0::DOUBLE"
+      else s"""CASE WHEN (SELECT COUNT(*) FROM perkey) = 0 THEN ${Metrics.KlNoKeys}::DOUBLE
+              |  ELSE (SELECT $klTerms FROM perkey) / ((SELECT COUNT(*) FROM perkey)::DOUBLE
+              |    / (SELECT COUNT(*) FROM (SELECT DISTINCT ${keys.mkString(", ")} FROM s)) * ${nk.size})
+              |  END""".stripMargin
+    val sql =
+      s"""WITH s AS (SELECT * FROM src),
+         |r AS (SELECT $padded FROM rhat),
+         |pairs AS (
+         |  SELECT ${(keys.map(k => s"s.$k AS key_$k") ++
+                      Seq(s"($alpha) - ($delta) AS score", s"$shared AS shared") ++ pairCols).mkString(", ")}
+         |  FROM s JOIN r ON ${keys.map(k => s"s.$k = r.$k").mkString(" AND ")}),
+         |perkey AS (
+         |  SELECT ${(Seq("MAX(score) AS best", "MAX(shared) AS shared") ++
+                      nk.flatMap(c => Seq(s"AVG(x_$c) AS q_$c", s"AVG(e_$c) AS qe_$c"))).mkString(", ")}
+         |  FROM pairs GROUP BY ${keys.map(k => s"key_$k").mkString(", ")}),
+         |sizes AS (SELECT
+         |  (SELECT COUNT(*) FROM s) AS s_rows,
+         |  (SELECT COUNT(*) FROM (SELECT DISTINCT * FROM s)) AS s_set,
+         |  (SELECT COUNT(*) FROM (SELECT DISTINCT * FROM r)) AS r_set,
+         |  (SELECT COUNT(*) FROM (SELECT * FROM s INTERSECT SELECT * FROM r)) AS both_set)
+         |SELECT
+         |  CASE WHEN s_rows = 0 THEN 1::DOUBLE ELSE 0.5::DOUBLE
+         |    * COALESCE((SELECT SUM(1::DOUBLE + best::DOUBLE / $n) FROM perkey), 0) / s_rows END AS eis,
+         |  CASE WHEN s_rows = 0 THEN 1::DOUBLE
+         |    ELSE COALESCE((SELECT SUM(shared::DOUBLE / $n) FROM perkey), 0) / s_rows END AS inst,
+         |  CASE WHEN s_set = 0 THEN 1::DOUBLE ELSE both_set::DOUBLE / s_set END AS recall,
+         |  CASE WHEN r_set = 0 THEN 0::DOUBLE ELSE both_set::DOUBLE / r_set END AS prec,
+         |  $kl AS kl
+         |FROM sizes""".stripMargin
+    val (_, Seq(row)) = Oracle.query(sql,
+      "src" -> KeyedRows.toDf(source, spark), "rhat" -> KeyedRows.toDf(out, spark))
+    (0 until 5).map(i => row.get(i).asInstanceOf[Number].doubleValue)
+  }
+
+  /** Check [[Metrics.all]] of `out` against `source` on [[sqlScores]]:
+    * EIS, instance similarity, recall and precision to 1e-12, KL to 1e-12
+    * relative.
+    */
+  private def scoresChecked(source: Table, keys: Seq[String], out: Table): Boolean = {
+    val got = Metrics.all(KeyedRows.toDf(out, spark),
+      SourceTable("s", KeyedRows.toDf(source, spark), keys))
+    val Seq(eis, inst, recall, precision, kl) = sqlScores(source, keys, out)
+    val ok = Seq(got.eis - eis, 1.0 - got.instDiv - inst, got.recall - recall,
+      got.precision - precision).forall(d => math.abs(d) < 1e-12) &&
+      math.abs(got.kl - kl) <= 1e-12 * math.max(1.0, math.abs(kl))
+    assert(ok, s"${out.columns} ${out.rows} against ${source.columns} ${source.rows}: " +
+      s"kernel $got, SQL ${(eis, inst, recall, precision, kl)}")
+    ok
+  }
+
+  /** Integrate `tables` into `sourceRows` on the kernel; check the kernel's
+    * scores of every input and of the output against [[sqlScores]], and
+    * return the output rows.
     */
   private def integrateChecked(
       sourceRows: Seq[Seq[String]], tables: Seq[Table]): Set[Seq[String]] = {
-    val s = SourceTable("s", Fixtures.stringDf(spark, cols, sourceRows), Seq("k"))
-    val src = Source(Table(cols, sourceRows), s.keys)
+    val src = Source(Table(cols, sourceRows), Seq("k"))
     val out = Integration.integrate(tables, src)
-    (tables :+ out).foreach { t =>
-      val want = Similarity.eis(KeyedRows.toDf(t, spark), s)
-      assert(math.abs(KeyedRows.eis(t, src) - want) < 1e-12, s"${t.rows}: EIS $want")
-    }
+    (tables :+ out).foreach(scoresChecked(src.table, src.keys, _))
     out.rows.toSet
   }
 
@@ -64,6 +135,26 @@ class KeyedRowsSpec extends SparkSpec {
     assert(a.columns == Seq("ID", "Name", "Education") && a.rows.size == 3)
     assert(b.columns == Seq("Age", "Name") && b.rows.contains(Seq("27", "Smith")))
     assert(KeyedRows.toDf(a, spark).collect().toSet == Fixtures.tableA(spark).collect().toSet)
+  }
+
+  test("scores match the SQL reference on random S and Ŝ") {
+    // Two key columns, so that Ŝ can lack one; S repeats key tuples, has
+    // null key cells, and may be empty or have no non-key column; Ŝ may be
+    // empty or lack any column.
+    val keys = Vector("k", "j")
+    val keyCell = Gen.frequency(1 -> Gen.const(N), 4 -> Gen.oneOf("0", "1", "2"))
+    val cell = Gen.oneOf(N, "x", "y")
+    def rows(columns: Seq[String], max: Int): Gen[Seq[Seq[String]]] =
+      Gen.choose(0, max).flatMap(Gen.listOfN(_, Gen.sequence[Seq[String], String](
+        columns.map(c => if (keys.contains(c)) keyCell else cell))))
+    val pairGen = for {
+      nonKey <- Gen.someOf("a", "b", "c")
+      sCols = keys ++ nonKey
+      sRows <- rows(sCols, 6)
+      oCols <- Gen.atLeastOne(sCols).map(_.toIndexedSeq)
+      oRows <- rows(oCols, 8)
+    } yield (Table(sCols, sRows), Table(oCols, oRows))
+    check(Prop.forAll(pairGen) { case (s, out) => scoresChecked(s, keys, out) })
   }
 
   test("a table's matrix evaluates to its EIS (§V-A3, one table)") {

@@ -5,8 +5,8 @@ import repro.{Fixtures, Oracle, SparkSpec}
 import repro.lake.SourceTable
 
 /** Integration operators (§IV-B) + Theorem 8's representative-operator
-  * lemmas, checked against DuckDB via the Oracle: the DataFrame ⊎, π, σ
-  * and padding, and the driver-side InnerUnion, β, κ and minimal form of
+  * lemmas, checked against DuckDB via the Oracle: the DataFrame ⊎, π, σ,
+  * and the driver-side padding, InnerUnion, β, κ and minimal form of
   * [[KeyedRows]].
   */
 class OperatorsSpec extends SparkSpec {
@@ -158,13 +158,10 @@ class OperatorsSpec extends SparkSpec {
     assert(out == Seq(Seq("1", "x", "y")))
   }
 
-  test("padToSourceSchema adds missing columns as nulls in source order") {
-    val src = SourceTable("s", df(Seq("k", "a", "b"), Seq(Seq("1", "x", "y"))), Seq("k"))
-    val t = df(Seq("b", "k"), Seq(Seq("y", "1")))
-    val out = Operators.padToSourceSchema(t, src)
-    assert(out.columns.toSeq == Seq("k", "a", "b"))
-    val r = out.collect()(0)
-    assert(r.getString(0) == "1" && r.getString(1) == null && r.getString(2) == "y")
+  test("padTo adds missing columns as nulls in source order") {
+    val out = KeyedRows.padTo(tbl(Seq("b", "k"), Seq(Seq("y", "1"))), Vector("k", "a", "b"))
+    assert(out.columns == Seq("k", "a", "b"))
+    assert(out.rows == Seq(Seq("1", N, "y")))
   }
 
   // -------------------------------------------------- Theorem 8 lemmas
