@@ -37,7 +37,7 @@ object GenT {
       tables: Seq[(String, DataFrame)],
       source: SourceTable): Map[(String, String), Map[String, Double]] = {
     import org.apache.spark.sql.functions._
-    if (tables.size < 2 || tables.forall(t => source.keys.forall(t._2.columns.contains))) return Map.empty
+    if (!needsWeights(tables.map(_._2), source)) return Map.empty
     // Two jobs: unpivot every candidate and count its values per column;
     // self-join on (column, value) and count per (tableA, tableB, column).
     // Then weight = Σ_shared-col |∩| / min(|A.col|, |B.col|).
@@ -62,6 +62,12 @@ object GenT {
       }
       .groupBy(_._1).map { case (k, xs) => k -> xs.map(_._2).toMap }
   }
+
+  /** Expand reads edge weights only when two or more candidates are
+    * given and one of them lacks a source key column.
+    */
+  private def needsWeights(tables: Seq[DataFrame], source: SourceTable): Boolean =
+    tables.size >= 2 && tables.exists(df => !source.keys.forall(df.columns.contains))
 
   /** Run Gen-T for one source table over the repository `repo`, whose
     * value index `index` was built with [[repro.lake.LakeIndex]].
@@ -97,9 +103,12 @@ object GenT {
 
     // Select early: every downstream table only needs rows aligned to the
     // source keys, so prune keyed candidates to those rows (a semi-join
-    // in Spark) before Expand.
+    // in Spark) before Expand. The pruned tables are cached only when the
+    // weight jobs read them before the collect does.
+    val cache = needsWeights(renamed.map(_._2), source)
     val pruned = renamed.map { case (n, df) =>
-      n -> Operators.selectSourceKeys(df, source).cache()
+      val p = Operators.selectSourceKeys(df, source)
+      n -> (if (cache) p.cache() else p)
     }
     val (src, tables) = try {
       // --- Expand (Algorithm 5): give every candidate the source key.
@@ -113,7 +122,7 @@ object GenT {
       // them and S to the driver, where the rest of Gen-T runs.
       val (src, rows) = KeyedRows.collect(source, expanded.map(_.df))
       (src, expanded.map(_.name).zip(rows))
-    } finally pruned.foreach(_._2.unpersist())
+    } finally if (cache) pruned.foreach(_._2.unpersist())
 
     // --- Matrix Traversal (Algorithm 1): prune to originating tables.
     val matrices = MatrixTraversal.initMatrices(tables, src, cfg.matrix)

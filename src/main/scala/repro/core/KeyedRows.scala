@@ -3,8 +3,8 @@ package repro.core
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.{col, lit}
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.functions.{array, col, lit}
+import org.apache.spark.sql.types.{ArrayType, StringType, StructField, StructType}
 import repro.lake.SourceTable
 
 /** The driver-side keyed-row kernel that runs Gen-T after discovery.
@@ -26,7 +26,7 @@ import repro.lake.SourceTable
   */
 object KeyedRows {
 
-  /** Most rows [[collect]] accepts: the source plus every table. */
+  /** Most rows one collect brings to the driver ([[collectRows]]). */
   val MaxRows = 1000000
 
   /** A table on the driver: column names and rows of cells (null = ⊥). */
@@ -41,31 +41,36 @@ object KeyedRows {
     def size: Int = table.rows.size
   }
 
-  /** One Spark job: `source` and every table of `tables`, padded to the
-    * source's schema and tagged, collected as one union. Each table keeps
-    * its own columns that the source has, in its own order. Fails if the
-    * union holds more than [[MaxRows]] rows.
+  /** One Spark job: every frame's rows, cells cast to strings, collected
+    * as one tagged union. Element i is frame i as a [[Table]] of its own
+    * columns. Fails, naming `what`, if the union holds more than
+    * [[MaxRows]] rows.
     */
-  def collect(source: SourceTable, tables: Seq[DataFrame]): (Source, Seq[Table]) = {
-    val cols = source.df.columns.toIndexedSeq
-    val tagged = (source.df +: tables).zipWithIndex.map { case (df, i) =>
-      df.select(lit(i).as("__tag") +: cols.map { c =>
-        (if (df.columns.contains(c)) col(c) else lit(null)).cast(StringType).as(c)
-      }: _*)
+  def collectRows(frames: Seq[DataFrame], what: String): Seq[Table] = {
+    if (frames.isEmpty) return Seq.empty
+    val tagged = frames.zipWithIndex.map { case (df, i) =>
+      df.select(lit(i).as("__tag"),
+        array(df.columns.toIndexedSeq.map(c => col(c).cast(StringType)): _*)
+          .cast(ArrayType(StringType)).as("__cells"))
     }
     val rows = tagged.reduce(_ union _).collect()
     if (rows.length > MaxRows) throw new IllegalStateException(
-      s"${rows.length} rows collected for source ${source.name}: " +
-        s"more than the driver-side bound of $MaxRows")
+      s"${rows.length} rows collected for $what: more than the driver-side bound of $MaxRows")
     val byTag = rows.groupBy(_.getInt(0))
-    def table(tag: Int, own: IndexedSeq[String]): Table = {
-      val pos = own.map(cols.indexOf(_) + 1)
-      Table(own, byTag.getOrElse(tag, Array.empty[Row]).toIndexedSeq
-        .map(r => pos.map(i => r.getString(i))))
+    frames.zipWithIndex.map { case (df, i) =>
+      Table(df.columns.toIndexedSeq,
+        byTag.getOrElse(i, Array.empty[Row]).toIndexedSeq.map(_.getSeq[String](1)))
     }
-    (Source(table(0, cols), source.keys), tables.zipWithIndex.map { case (df, i) =>
-      table(i + 1, df.columns.toIndexedSeq.filter(cols.contains))
-    })
+  }
+
+  /** One Spark job: `source` and every table of `tables`, each table on
+    * its own columns that the source has, in its own order.
+    */
+  def collect(source: SourceTable, tables: Seq[DataFrame]): (Source, Seq[Table]) = {
+    val cols = source.df.columns.toIndexedSeq
+    val own = tables.map(df => df.select(df.columns.toIndexedSeq.filter(cols.contains).map(col): _*))
+    val rows = collectRows(source.df +: own, s"source ${source.name}")
+    (Source(rows.head, source.keys), rows.tail)
   }
 
   /** A local (job-free) DataFrame of `t`'s rows, every column a string. */

@@ -1,25 +1,30 @@
 package repro.discovery
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.KeyedRows
 import repro.lake.{LakeIndex, SourceTable, TableRepo}
 
 /** Candidate table retrieval by exact set overlap (paper Algorithms 3–4).
   *
-  * A source costs a fixed number of Spark jobs, whatever the number of
-  * candidates, plus one schema read for each lake table the repo has not
-  * opened yet. Against the `(table, column, value)` [[LakeIndex]]:
-  *   1. index ⋈ unpivot(S) on value → per (lake column, source column)
+  * Only the lake-scale overlap search runs in Spark; everything about a
+  * single candidate runs on the driver. A source costs four Spark jobs
+  * when its candidates fit one verification batch, plus one schema read
+  * for each lake table the repo has not opened yet:
+  *   1. the source's rows, collected once ([[KeyedRows.collect]]); its
+  *      column sizes come from them;
+  *   2. index ⋈ unpivot(S) on value → per (lake column, source column)
   *      overlap counts;
-  *   2. restricted index self-join → pairwise overlap counts between the
-  *      lake columns mapped to the same source column (used by Diversify);
-  *   3. restricted index → the distinct-value sizes of those columns.
-  * Then, over the candidate tables themselves: one job per verification
-  * round (at most five per batch; one batch unless candidates fail) and
-  * one job for every survivor's duplicate signature. The source's column
-  * sizes and rows take two more. The orchestration (greedy column
-  * mapping, Diversify's ranking, the top-k cut) runs on the driver over
-  * those small aggregate results.
+  *   3. restricted index self-join → pairwise overlap counts between the
+  *      mapped lake columns (used by Diversify); its diagonal is each
+  *      column's distinct-value size;
+  *   4. per verification batch, one collect of the batch tables' rows that
+  *      align with S under any mapping their repair rounds can try.
+  * Verification, its repair rounds and the duplicate check then run on the
+  * driver over those rows. Only candidates whose aligned rows tie with
+  * another's need a content signature, one more job for all of them. The
+  * orchestration (greedy column mapping, Diversify's ranking, the top-k
+  * cut) runs on the driver over the small aggregate results.
   */
 object SetSimilarity {
 
@@ -32,6 +37,14 @@ object SetSimilarity {
   final case class Candidate(table: String, mapping: Map[String, String], score: Double)
 
   final case class Config(tau: Double = 0.2, topK: Int = 10)
+
+  /** Distinct non-null values per source column: the denominators of all
+    * containment scores. An all-null column counts 0.
+    */
+  private[repro] def sourceColumnSizes(src: KeyedRows.Table): Map[String, Int] =
+    src.columns.zipWithIndex.map { case (c, i) =>
+      c -> src.rows.iterator.map(_(i)).filter(_ != null).toSet.size
+    }.toMap
 
   /** Overlap of every (lake table, lake column, source column) triple:
     * |C ∩ c| and the containment |C ∩ c| / |c|.
@@ -47,219 +60,210 @@ object SetSimilarity {
       .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getLong(3)))
   }
 
-  /** The index rows of the given lake columns only: a `left_semi` join
-    * against a driver-side list of (table, column) keys.
-    */
-  private def restrictTo(
-      index: DataFrame, cols: Set[(String, String)], spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val keyDf = cols.toSeq.toDF("t", "c")
-    index.join(keyDf, index("table") === keyDf("t") && index("column") === keyDf("c"), "left_semi")
-  }
-
   /** Pairwise overlap counts between the given lake columns, computed via
-    * a restricted index self-join. Returns ((t1,c1),(t2,c2)) → |∩|.
+    * a self-join of the index restricted to them (a `left_semi` join
+    * against a driver-side list of (table, column) keys). Returns
+    * ((t1,c1),(t2,c2)) → |∩|. Index rows are distinct, so the diagonal
+    * ((t,c),(t,c)) is the number of distinct values of c.
     */
   private[discovery] def pairwiseOverlaps(
       index: DataFrame,
       cols: Set[(String, String)],
       spark: SparkSession): Map[((String, String), (String, String)), Long] = {
+    import spark.implicits._
     if (cols.isEmpty) return Map.empty
-    val restricted = restrictTo(index, cols, spark)
+    val keyDf = cols.toSeq.toDF("t", "c")
+    val restricted =
+      index.join(keyDf, index("table") === keyDf("t") && index("column") === keyDf("c"), "left_semi")
     val a = restricted.select(col("table").as("t1"), col("column").as("c1"), col("value"))
     val b = restricted.select(col("table").as("t2"), col("column").as("c2"), col("value"))
     a.join(b, "value")
-      .where(col("t1") =!= col("t2") || col("c1") =!= col("c2"))
       .groupBy("t1", "c1", "t2", "c2").agg(count("*").as("m"))
       .collect().toIndexedSeq
       .map(r => ((r.getString(0), r.getString(1)), (r.getString(2), r.getString(3))) -> r.getLong(4))
       .toMap
   }
 
-  /** Column distinct-value sizes for the given lake columns. */
-  private[discovery] def columnSizes(
-      index: DataFrame,
-      cols: Set[(String, String)],
-      spark: SparkSession): Map[(String, String), Long] = {
-    if (cols.isEmpty) return Map.empty
-    restrictTo(index, cols, spark).groupBy("table", "column").agg(count("*").as("n"))
-      .collect().toIndexedSeq
-      .map(r => (r.getString(0), r.getString(1)) -> r.getLong(2))
-      .toMap
-  }
-
-  /** Aligned-tuple verification (Algorithm 3, lines 11–14). Column-level
-    * set containment alone admits coincidental mappings between columns
-    * of the same value domain (dense integer keys, small categorical
-    * ranges). The paper's fix: within the candidate's tuples that align
-    * with the source, each mapped column must *still* overlap highly.
-    *
-    * We anchor alignment on the candidate's strongest mapped column
-    * (preferring one mapped to a source key). A tuple is aligned when its
-    * anchor value occurs in the source's anchor column; a non-anchor
-    * mapped column is verified by the fraction of aligned, non-null cells
-    * whose (anchor value, cell value) pair also occurs in the source.
-    * Mappings below τ are dropped; a candidate left with nothing but its
-    * anchor is discarded.
-    */
-  private val AnchorSep = ""
+  // Aligned-tuple verification (Algorithm 3, lines 11–14). Column-level
+  // set containment alone admits coincidental mappings between columns
+  // of the same value domain (dense integer keys, small categorical
+  // ranges). The paper's fix: within the candidate's tuples that align
+  // with the source, each mapped column must *still* overlap highly.
+  //
+  // We anchor alignment on the candidate's strongest mapped column
+  // (preferring one mapped to a source key). A tuple is aligned when its
+  // anchor tuple occurs among the source's anchor tuples; a non-anchor
+  // mapped column is verified by the fraction of aligned, non-null cells
+  // whose (anchor tuple, cell value) pair also occurs in the source.
+  // Mappings below τ are dropped; a candidate left with nothing but its
+  // anchor is discarded.
 
   /** Repair rounds per candidate: a failed anchor is banned and the greedy
     * mapping re-run, at most this many times in all.
     */
   private val RepairRounds = 5
 
-  /** The source side of one candidate mapping's verification.
+  /** One candidate mapping of a table and the source side of its check.
     *
     * The anchor is the set of mapped pairs targeting source *key* columns
     * (a joint, multi-column anchor when the key is composite — aligning
     * on a single weak key column such as a 5-value suppkey would align
     * almost every tuple and falsely fail the other columns); when no key
     * is mapped, the single pair whose source column has the most distinct
-    * values (the strongest evidence).
+    * values (the strongest evidence). The anchor depends only on the
+    * mapped source columns, so does the set of S's anchor tuples.
     *
+    * @param mapping    lake column → source column
     * @param checkCols  the non-anchor (lakeCol, srcCol) pairs to verify
-    * @param anchorVals the source's anchor strings
-    * @param pairSets   lakeCol → the source's (anchor, value) pairs of
-    *                   the source column it is mapped to
+    * @param anchorVals the source's anchor tuples (no null part)
+    * @param pairSets   lakeCol → the source's (anchor tuple, value) pairs
+    *                   of the source column it is mapped to
     */
   private final case class Check(
-      table: String,
+      mapping: Map[String, String],
       anchorPairs: Seq[(String, String)],
       checkCols: Seq[(String, String)],
-      anchorVals: Set[String],
-      pairSets: Map[String, Set[(String, String)]])
+      anchorVals: Set[Seq[String]],
+      pairSets: Map[String, Set[(Seq[String], String)]])
+
+  /** The cells of `r` at `idx`, or None when one is null: a tuple with a
+    * null part aligns with nothing.
+    */
+  private def tupleAt(r: Seq[String], idx: Seq[Int]): Option[Seq[String]] = {
+    val t = idx.map(r)
+    if (t.contains(null)) None else Some(t)
+  }
 
   private def check(
-      table: String,
-      mapping: Map[String, String], // lakeCol -> srcCol
-      source: SourceTable,
-      srcRows: Seq[Map[String, String]],
-      srcDistinct: Map[String, Int]): Check = {
-    val keyPairs = mapping.toSeq.filter { case (_, sc) => source.keys.contains(sc) }
+      mapping: Map[String, String],
+      src: KeyedRows.Source,
+      sizes: Map[String, Int]): Check = {
+    val keyPairs = mapping.toSeq.filter { case (_, sc) => src.keys.contains(sc) }
       .sortBy(_._2)
     val anchorPairs: Seq[(String, String)] =
       if (keyPairs.nonEmpty) keyPairs
-      else Seq(mapping.toSeq.maxBy { case (_, sc) => (srcDistinct.getOrElse(sc, 0), sc) })
-    val anchorSrcCols = anchorPairs.map(_._2)
-    val anchorLakeCols = anchorPairs.map(_._1)
-
-    def anchorOf(r: Map[String, String]): String = {
-      val parts = anchorSrcCols.map(sc => r.getOrElse(sc, null))
-      if (parts.contains(null)) null else parts.mkString(AnchorSep)
-    }
-    val checkCols = mapping.toSeq.filterNot { case (c, _) => anchorLakeCols.contains(c) }
+      else Seq(mapping.toSeq.maxBy { case (_, sc) => (sizes.getOrElse(sc, 0), sc) })
+    val cols = src.table.columns
+    val anchorIdx = anchorPairs.map { case (_, sc) => cols.indexOf(sc) }
+    val aligned = src.table.rows.flatMap(r => tupleAt(r, anchorIdx).map(_ -> r))
+    val checkCols = mapping.toSeq.filterNot(anchorPairs.contains)
     val pairSets = checkCols.map { case (c, sc) =>
-      c -> srcRows.flatMap { r =>
-        val a = anchorOf(r); val v = r.getOrElse(sc, null)
-        if (a != null && v != null) Some((a, v)) else None
-      }.toSet
+      val i = cols.indexOf(sc)
+      c -> aligned.collect { case (a, r) if r(i) != null => (a, r(i)) }.toSet
     }.toMap
-    Check(table, anchorPairs, checkCols,
-      srcRows.map(anchorOf).filter(_ != null).toSet, pairSets)
+    Check(mapping, anchorPairs, checkCols, aligned.map(_._1).toSet, pairSets)
   }
 
-  /** The lake side of a round's checks, in one Spark job: per (table,
-    * non-anchor lake column), the aligned non-null cells n and those whose
-    * (anchor, value) pair occurs in the source m. The input is a tagged
-    * union of (table, column, anchor, value) rows over every checked
-    * table; a column with no aligned cell is absent.
+  /** The repair rounds a table can go through, decided before any lake row
+    * is read: a round changes nothing but the banned pairs, and a table
+    * that fails a round has its anchor pairs banned. So round k checks
+    * M_k, where M_1 = greedy(∅) and M_k+1 = greedy(banned ∪ anchors(M_k)),
+    * for at most [[RepairRounds]] rounds and while M_k maps two columns.
     */
-  private def alignedCounts(
-      repo: TableRepo, checks: Seq[Check]): Map[(String, String), (Long, Long)] = {
-    if (checks.isEmpty) return Map.empty
-    val cells = checks.map { ch =>
-      val anchorLakeCols = ch.anchorPairs.map(_._1)
-      // Candidate-side anchor string: null when any part is null.
-      val anchor = when(anchorLakeCols.map(col(_).isNotNull).reduce(_ && _),
-        concat_ws(AnchorSep, anchorLakeCols.map(col): _*))
-      val cv = ch.checkCols.map { case (c, _) => struct(lit(c).as("column"), col(c).as("value")) }
-      repo.read(ch.table).df
-        .select(lit(ch.table).as("table"), anchor.as("anchor"), explode(array(cv: _*)).as("cv"))
-        .select(col("table"), col("cv.column").as("column"), col("anchor"),
-          col("cv.value").as("value"))
+  private def repairChain(
+      triples: Seq[(String, String, Double, Long)],
+      src: KeyedRows.Source,
+      sizes: Map[String, Int],
+      cfg: Config): Seq[Check] = {
+    val chain = scala.collection.mutable.ArrayBuffer[Check]()
+    var banned = Set.empty[(String, String)]
+    var mapping = greedyMapping(triples, banned, cfg.tau)
+    while (chain.size < RepairRounds && mapping.size >= 2) {
+      val ch = check(mapping.map { case (c, (sc, _)) => c -> sc }, src, sizes)
+      chain += ch
+      banned ++= ch.anchorPairs
+      mapping = greedyMapping(triples, banned, cfg.tau)
     }
-    val anchorVals = checks.map(ch => ch.table -> ch.anchorVals).toMap
-    val pairSets = checks.flatMap(ch => ch.pairSets.map { case (c, ps) => (ch.table, c) -> ps })
-      .toMap
-    val aligned = udf((t: String, a: String) => anchorVals(t).contains(a))
-    val agrees = udf((t: String, c: String, a: String, v: String) =>
-      pairSets((t, c)).contains((a, v)))
-    cells.reduce(_ unionByName _)
-      .where(col("anchor").isNotNull && col("value").isNotNull &&
-        aligned(col("table"), col("anchor")))
-      .groupBy("table", "column")
-      .agg(count("*").as("n"),
-        sum(agrees(col("table"), col("column"), col("anchor"), col("value")).cast("long")).as("m"))
-      .collect().toIndexedSeq
-      .map(r => (r.getString(0), r.getString(1)) -> (r.getLong(2), r.getLong(3)))
-      .toMap
+    chain.toSeq
   }
 
-  /** The mapping that survives a check, or empty when the anchor is
-    * unconfirmed. A non-anchor column *passes* at accuracy ≥ τ, but the
-    * candidate is only accepted if at least one column's accuracy also
-    * beats chance for its cardinality (≥ 2.5/d for d distinct source
-    * values): a 2–3 value column (order status…) matches a garbage anchor
-    * at chance level ~1/d ≥ τ, so it can ride along but never *confirm*
-    * an anchor.
+  /** A Spark-side filter that keeps every row of a table aligned under
+    * `ch` (a superset: each anchor column's value is one of the source's
+    * values for that anchor part).
+    */
+  private def alignedFilter(ch: Check): Column =
+    ch.anchorPairs.indices.map { i =>
+      col(ch.anchorPairs(i)._1).isin(ch.anchorVals.iterator.map(_(i)).toSeq.distinct: _*)
+    }.reduce(_ && _)
+
+  /** (anchor tuple, row) for each row of `lake` aligned under `ch`. */
+  private def aligned(ch: Check, lake: KeyedRows.Table): Seq[(Seq[String], Seq[String])] = {
+    val anchorIdx = ch.anchorPairs.map { case (c, _) => lake.columns.indexOf(c) }
+    lake.rows.flatMap(r => tupleAt(r, anchorIdx).filter(ch.anchorVals).map(_ -> r))
+  }
+
+  /** The mapping that survives a check on the table's rows `lake`, or
+    * empty when the anchor is unconfirmed. A non-anchor column *passes* at
+    * accuracy ≥ τ, but the candidate is only accepted if at least one
+    * column's accuracy also beats chance for its cardinality (≥ 2.5/d for
+    * d distinct source values): a 2–3 value column (order status…)
+    * matches a garbage anchor at chance level ~1/d ≥ τ, so it can ride
+    * along but never *confirm* an anchor. A column with no aligned
+    * non-null cell has no accuracy: it passes and confirms nothing.
     */
   private def surviving(
       ch: Check,
-      counts: Map[(String, String), (Long, Long)],
-      srcDistinct: Map[String, Int],
+      lake: KeyedRows.Table,
+      sizes: Map[String, Int],
       cfg: Config): Map[String, String] = {
-    def acc(c: String): Option[Double] = counts.get((ch.table, c)).collect {
-      case (n, m) if n > 0 => m.toDouble / n
-    }
+    val rows = aligned(ch, lake)
+    val acc: Map[String, Option[Double]] = ch.checkCols.map { case (c, _) =>
+      val i = lake.columns.indexOf(c)
+      val cells = rows.collect { case (a, r) if r(i) != null => (a, r(i)) }
+      c -> (if (cells.isEmpty) None else Some(cells.count(ch.pairSets(c)).toDouble / cells.size))
+    }.toMap
     val passing = ch.checkCols.filter { case (c, _) => acc(c).forall(_ >= cfg.tau) }
     val confirmed = ch.checkCols.exists { case (c, sc) =>
-      val d = math.max(1, srcDistinct.getOrElse(sc, 1))
+      val d = math.max(1, sizes.getOrElse(sc, 1))
       acc(c).exists(_ >= math.max(cfg.tau, 2.5 / d))
     }
     if (!confirmed) Map.empty else (passing ++ ch.anchorPairs).toMap
   }
 
-  /** Verify a batch of ranked tables, repairing crossed column assignments,
-    * in at most [[RepairRounds]] rounds of one Spark job each. Every round
-    * re-runs the greedy mapping of each pending table without its banned
-    * pairs and checks all of them together. Anchor confirmed by at least
-    * one above-chance column → accept (below-τ columns are simply dropped,
-    * as in the paper). Anchor unconfirmed → crossed assignment: ban the
-    * anchor pairs and re-map; the other columns may have failed merely
-    * because the bogus anchor aligned garbage tuples. A table whose
-    * mapping shrinks below two columns is rejected.
+  /** A verified table: its surviving mapping, and a key that every
+    * duplicate of it shares: the mapped source columns and the multiset of
+    * its renamed rows aligned on its anchor. Tables with equal renamed
+    * content have equal keys, since the anchor depends only on the mapped
+    * source columns.
+    */
+  private final case class Verified(
+      mapping: Map[String, String], dedupKey: (Set[String], Map[Seq[String], Int]))
+
+  /** Verify a batch of ranked tables, repairing crossed column assignments.
+    * Anchor confirmed by at least one above-chance column → accept
+    * (below-τ columns are simply dropped, as in the paper). Anchor
+    * unconfirmed → crossed assignment: ban the anchor pairs and re-map;
+    * the other columns may have failed merely because the bogus anchor
+    * aligned garbage tuples. A table whose mapping shrinks below two
+    * columns is rejected.
     *
-    * Returns the surviving mapping of every accepted table.
+    * Every table's rounds are known in advance ([[repairChain]]), so one
+    * Spark job collects the rows each table aligns under any of them, on
+    * the lake columns any of them maps; the rounds then run on the driver.
     */
   private def verifyBatch(
       repo: TableRepo,
       tables: Seq[String],
       tableTriples: Map[String, Seq[(String, String, Double, Long)]],
-      source: SourceTable,
-      srcRows: Seq[Map[String, String]],
-      srcDistinct: Map[String, Int],
-      cfg: Config): Map[String, Map[String, String]] = {
-    val banned = scala.collection.mutable.Map[String, Set[(String, String)]]()
-      .withDefaultValue(Set.empty)
-    val accepted = scala.collection.mutable.Map[String, Map[String, String]]()
-    var pending = tables
-    for (_ <- 0 until RepairRounds if pending.nonEmpty) {
-      val checks = pending.flatMap { t =>
-        val mapping = greedyMapping(tableTriples(t), banned(t), cfg.tau)
-        if (mapping.size < 2) None
-        else Some(check(t, mapping.map { case (c, (sc, _)) => c -> sc },
-          source, srcRows, srcDistinct))
-      }
-      val counts = alignedCounts(repo, checks.filter(_.checkCols.nonEmpty))
-      checks.foreach { ch =>
-        val kept = surviving(ch, counts, srcDistinct, cfg)
-        if (kept.size >= 2) accepted(ch.table) = kept
-        else banned(ch.table) ++= ch.anchorPairs
-      }
-      pending = checks.map(_.table).filterNot(accepted.contains)
+      src: KeyedRows.Source,
+      sizes: Map[String, Int],
+      cfg: Config): Map[String, Verified] = {
+    // A check with no column to verify confirms nothing, so it reads no rows.
+    val chains = tables.map(t => t -> repairChain(tableTriples(t), src, sizes, cfg)
+      .filter(_.checkCols.nonEmpty)).filter(_._2.nonEmpty)
+    val frames = chains.map { case (t, chain) =>
+      repo.read(t).df.where(chain.map(alignedFilter).reduce(_ || _))
+        .select(chain.flatMap(_.mapping.keys).distinct.sorted.map(col): _*)
     }
-    accepted.toMap
+    val rows = KeyedRows.collectRows(frames, "verification")
+    chains.zip(rows).flatMap { case ((t, chain), lake) =>
+      chain.iterator.map(ch => (ch, surviving(ch, lake, sizes, cfg)))
+        .collectFirst { case (ch, kept) if kept.size >= 2 =>
+          val renamed = kept.toSeq.sortBy(_._2).map { case (c, _) => lake.columns.indexOf(c) }
+          val alignedRows = aligned(ch, lake).map { case (_, r) => renamed.map(r) }
+          t -> Verified(kept, (kept.values.toSet, alignedRows.groupMapReduce(identity)(_ => 1)(_ + _)))
+        }
+    }.toMap
   }
 
   /** Greedy injective column assignment: lakeCol→srcCol by descending
@@ -281,7 +285,7 @@ object SetSimilarity {
     chosen.toMap
   }
 
-  /** Content signature of every candidate, in one Spark job: its renamed
+  /** Content signature of each of `cands`, in one Spark job: its renamed
     * column set, row count and the sum of its row hashes (order
     * independent). Equal signatures mean row-identical mapped content.
     */
@@ -317,7 +321,8 @@ object SetSimilarity {
       spark: SparkSession,
       cfg: Config = Config()): Seq[Candidate] = {
 
-    val srcSizes = LakeIndex.sourceColumnSizes(source)
+    val (src, _) = KeyedRows.collect(source, Seq.empty)
+    val sizes = sourceColumnSizes(src.table)
     val overlaps = sourceOverlaps(index, source)
 
     // Per-table (lakeCol, srcCol, containment, |intersection|) triples,
@@ -327,7 +332,7 @@ object SetSimilarity {
     val tableTriples: Map[String, Seq[(String, String, Double, Long)]] =
       overlaps.groupBy(_._1).view.mapValues { ts =>
         ts.map { case (_, c, sc, m) =>
-          (c, sc, m.toDouble / math.max(1L, srcSizes.getOrElse(sc, 1L)), m)
+          (c, sc, m.toDouble / math.max(1, sizes.getOrElse(sc, 1)), m)
         }.sortBy { case (c, sc, ov, m) =>
           (-ov, -m, if (source.keys.contains(sc)) 0 else 1, sc, c)
         }
@@ -342,7 +347,6 @@ object SetSimilarity {
     val mappedCols: Set[(String, String)] =
       mappings.toSeq.flatMap { case (t, m) => m.keys.toSeq.map(t -> _) }.toSet
     val pairOv = pairwiseOverlaps(index, mappedCols, spark)
-    val colSz = columnSizes(index, mappedCols, spark)
 
     // --- Algorithm 4 per source column: rank by overlap, then rescore
     // each candidate against its predecessor's mapped column.
@@ -357,7 +361,7 @@ object SetSimilarity {
           else {
             val (pt, pc, _) = cands(i - 1)
             val inter = pairOv.getOrElse(((t, c), (pt, pc)), 0L).toDouble
-            val prevColOverlap = inter / math.max(1L, colSz.getOrElse((t, c), 1L))
+            val prevColOverlap = inter / math.max(1L, pairOv.getOrElse(((t, c), (t, c)), 1L))
             (t, ov - prevColOverlap)
           }
         }
@@ -377,34 +381,30 @@ object SetSimilarity {
     // overlap is coincidental die here. A batch is the next
     // `wanted − verified` tables: each adds at most one candidate, so the
     // batches attempt exactly the tables a one-by-one walk would.
-    val srcRows: Seq[Map[String, String]] = source.df.collect().toIndexedSeq.map { r =>
-      source.df.columns.toIndexedSeq.zipWithIndex.map { case (c, i) =>
-        c -> (if (r.isNullAt(i)) null else r.get(i).toString)
-      }.toMap
-    }
-    val srcDistinct: Map[String, Int] = source.df.columns.toIndexedSeq.map { sc =>
-      sc -> srcRows.flatMap(_.get(sc)).filter(_ != null).distinct.size
-    }.toMap
-    val verified = scala.collection.mutable.ArrayBuffer[Candidate]()
+    val verified = scala.collection.mutable.ArrayBuffer[(Candidate, Verified)]()
     val wanted = cfg.topK + 4 // headroom for the duplicate removal below
     var toAttempt = ranked.take(cfg.topK * 8)
     while (toAttempt.nonEmpty && verified.size < wanted) {
       val (batch, rest) = toAttempt.splitAt(wanted - verified.size)
-      val accepted = verifyBatch(repo, batch, tableTriples, source, srcRows, srcDistinct, cfg)
-      batch.foreach(t => accepted.get(t).foreach(m => verified += Candidate(t, m, tableScores(t))))
+      val accepted = verifyBatch(repo, batch, tableTriples, src, sizes, cfg)
+      batch.foreach(t => accepted.get(t).foreach(v =>
+        verified += (Candidate(t, v.mapping, tableScores(t)) -> v)))
       toAttempt = rest
     }
 
     // --- Duplicate-candidate removal (Algorithm 3, line 15). Data lakes
     // hold many copies of the same table; we drop candidates whose
-    // renamed, mapped content is row-identical to a better-ranked one
-    // (order-independent row-hash signature, one Spark job for all).
+    // renamed, mapped content is row-identical to a better-ranked one.
     // Value-set containment — the paper's phrasing — cannot distinguish
     // complementary nullified versions from duplicates, so we compare
-    // row-level content instead (see DESIGN.md).
-    val signatures = contentSignatures(repo, verified.toSeq)
+    // row-level content instead (see DESIGN.md). Duplicates share a dedup
+    // key, so only candidates whose key ties with another's need the
+    // content signature (one Spark job for all of them, none without ties).
+    val keyCounts = verified.groupMapReduce(_._2.dedupKey)(_ => 1)(_ + _)
+    val signatures = contentSignatures(repo,
+      verified.collect { case (c, v) if keyCounts(v.dedupKey) > 1 => c }.toSeq)
     val seen = scala.collection.mutable.Set[(Set[String], Long, String)]()
-    val deduped = verified.filter(c => seen.add(signatures(c.table)))
+    val deduped = verified.map(_._1).filter(c => signatures.get(c.table).forall(seen.add))
     deduped.take(cfg.topK).toSeq
   }
 

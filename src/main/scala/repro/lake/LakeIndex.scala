@@ -46,13 +46,4 @@ object LakeIndex {
       build(repo, spark).write.mode("overwrite").parquet(path)
     spark.read.parquet(path)
   }
-
-  /** Distinct value count per column of the source — the denominators of
-    * all containment scores.
-    */
-  def sourceColumnSizes(source: SourceTable): Map[String, Long] = {
-    val up = unpivot(source.df)
-    up.groupBy("column").agg(count("*").as("n"))
-      .collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-  }
 }

@@ -107,4 +107,71 @@ class SetSimilaritySpec extends SparkSpec {
     assert(second4 == second1, s"repeat call: $second1 jobs with 1 copy, $second4 with 4")
     assert(first4 - first1 <= 3, s"first call: $first1 jobs with 1 copy, $first4 with 4")
   }
+
+  // A source keyed on ID whose columns hold five distinct values each.
+  private lazy val keyed = repro.lake.SourceTable("keyed", Fixtures.stringDf(spark,
+    Seq("ID", "X", "Y", "Z"),
+    (1 to 5).map(i => Seq(s"$i", s"x$i", s"y$i", s"z$i"))), Seq("ID"))
+
+  /** `findCandidates` over a fresh lake of `tables` and the Spark jobs of
+    * a repeat call (every table already opened), counted as the benchmark
+    * runs Spark: without adaptive execution, which submits a job per
+    * query stage.
+    */
+  private def countedCall(
+      source: repro.lake.SourceTable,
+      tables: Map[String, org.apache.spark.sql.DataFrame]): (Seq[SetSimilarity.Candidate], Int) = {
+    val lake = TableRepo.create(Files.createTempDirectory("setsim-count").toString, spark, tables)
+    val lakeIndex = LakeIndex.build(lake, spark)
+    val first = SetSimilarity.findCandidates(lake, lakeIndex, source, spark)
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try {
+      val (again, jobs) = JobCounter(spark)(SetSimilarity.findCandidates(lake, lakeIndex, source, spark))
+      assert(again == first)
+      (again, jobs)
+    } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
+  }
+
+  test("a table that needs two repair rounds: four Spark jobs in all") {
+    // `crossed` holds S's IDs deranged in AID, a name that sorts before ID,
+    // so the greedy mapping tries AID → ID first.
+    val rows = (1 to 5).map(i => Seq(s"${i % 5 + 1}", s"$i", s"x$i", s"y$i", s"z$i"))
+    val (cands, jobs) = countedCall(keyed, Map(
+      "crossed" -> Fixtures.stringDf(spark, Seq("AID", "ID", "X", "Y", "Z"), rows),
+      "partial" -> Fixtures.stringDf(spark, Seq("ID", "X", "Y"),
+        rows.map(_.slice(1, 4)).updated(0, Seq("1", null, "y1")))))
+    // Round 1 anchors on AID → ID and fails; round 2 anchors on ID.
+    assert(cands.map(c => c.table -> c.mapping).toMap == Map(
+      "crossed" -> Map("ID" -> "ID", "X" -> "X", "Y" -> "Y", "Z" -> "Z"),
+      "partial" -> Map("ID" -> "ID", "X" -> "X", "Y" -> "Y")))
+    assert(jobs == 4, "the source, overlaps, pairwise overlaps and one verification batch")
+  }
+
+  test("tables equal on every source-aligned row but not elsewhere both survive dedup") {
+    val aligned = (1 to 5).map(i => Seq(s"$i", s"x$i", s"y$i", s"z$i"))
+    val (cands, jobs) = countedCall(keyed, Map(
+      "same" -> Fixtures.stringDf(spark, Seq("ID", "X", "Y", "Z"), aligned),
+      "more" -> Fixtures.stringDf(spark, Seq("ID", "X", "Y", "Z"),
+        aligned :+ Seq("9", "x9", "y9", "z9"))))
+    assert(cands.map(_.table).toSet == Set("same", "more"))
+    // Their aligned rows tie, so only the content signatures tell them apart.
+    assert(jobs == 5, "the four jobs of one batch, then one signature job for the tie")
+  }
+
+  test("a composite anchor is a tuple: (1, 23) and (12, 3) do not align") {
+    // S's two-column key holds both splits of "123". `swapped` gives each of
+    // them the other's value, so only half its rows agree with S: below the
+    // 2.5/4 chance bound of a four-value column, and the mapping fails.
+    val src = repro.lake.SourceTable("composite", Fixtures.stringDf(spark,
+      Seq("a", "b", "v"),
+      Seq(Seq("1", "23", "x"), Seq("12", "3", "y"), Seq("5", "6", "z"), Seq("7", "8", "w"))),
+      Seq("a", "b"))
+    val lake = TableRepo.create(Files.createTempDirectory("setsim-anchor").toString, spark, Map(
+      "good" -> src.df,
+      "swapped" -> Fixtures.stringDf(spark, Seq("a", "b", "v"),
+        Seq(Seq("1", "23", "y"), Seq("12", "3", "x"), Seq("5", "6", "z"), Seq("7", "8", "w")))))
+    val cands = SetSimilarity.findCandidates(lake, LakeIndex.build(lake, spark), src, spark)
+    assert(cands.map(_.table) == Seq("good"))
+  }
 }

@@ -3,6 +3,8 @@ package repro.lake
 import java.nio.file.Files
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, SparkSpec}
+import repro.core.KeyedRows
+import repro.discovery.SetSimilarity
 
 /** TableRepo Parquet round-trips and the inverted value index. */
 class LakeSpec extends SparkSpec {
@@ -89,7 +91,7 @@ class LakeSpec extends SparkSpec {
 
   test("sourceColumnSizes counts distinct non-null values per column") {
     val src = Fixtures.figure3Source(spark)
-    val sizes = LakeIndex.sourceColumnSizes(src)
+    val sizes = SetSimilarity.sourceColumnSizes(KeyedRows.collect(src, Seq.empty)._1.table)
     assert(sizes("Name") == 3)
     assert(sizes("Gender") == 2) // null not counted
   }
