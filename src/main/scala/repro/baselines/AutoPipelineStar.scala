@@ -1,6 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.KeyedRows
+import repro.core.KeyedRows.{Table, outerUnion, padTo}
 import repro.lake.SourceTable
 
 /** Auto-Pipeline* — the paper's re-implementation of Auto-Pipeline's
@@ -11,9 +13,10 @@ import repro.lake.SourceTable
   * built from the inputs; expansions join (inner/left/full, natural on
   * shared columns) or outer-union the state with an input table, or apply
   * the target-driven σ/π (restrict to source columns / source key
-  * values). States are scored by in-memory EIS against the target.
-  * Inputs larger than `rowCap` rows in total return None — the paper's
-  * timeout on every benchmark but TP-TR Small.
+  * values). States are scored by EIS against the target
+  * ([[KeyedRows.eis]]). The target and the inputs are collected once;
+  * a target or inputs larger than `rowCap` rows in total return None —
+  * the paper's timeout on every benchmark but TP-TR Small.
   */
 object AutoPipelineStar {
 
@@ -23,7 +26,7 @@ object AutoPipelineStar {
       rowCap: Int = 20000,
       maxExpansions: Int = 400)
 
-  private final case class State(t: MemTable, ops: List[String], score: Double)
+  private final case class State(t: Table, ops: List[String], score: Double)
 
   def run(
       tables: Seq[DataFrame],
@@ -32,39 +35,36 @@ object AutoPipelineStar {
       cfg: Config = Config()): Option[DataFrame] = {
     if (tables.isEmpty) return None
 
-    val memInputsOpt = tables.foldLeft(Option(Vector.empty[MemTable])) { (acc, df) =>
-      acc.flatMap(v => MemTable.fromDf(df, cfg.rowCap).map(v :+ _))
-    }
-    val memInputs = memInputsOpt.getOrElse(return None)
-    if (memInputs.map(_.rows.size).sum > cfg.rowCap) return None
-    val src = MemTable.fromDf(source.df, cfg.rowCap).getOrElse(return None)
-    val keyIdx = source.keys.map(src.cols.indexOf).toVector
-    val srcKeys: Set[Vector[String]] = src.rows.map(r => keyIdx.map(r)).toSet
+    val collected = KeyedRows.collectRows(
+      (source.df +: tables).map(KeyedRows.limited(_, cfg.rowCap + 1)), s"Auto-Pipeline* on ${source.name}")
+    val (srcTable, inputs) = (collected.head, collected.tail)
+    if (srcTable.rows.size > cfg.rowCap || inputs.map(_.rows.size).sum > cfg.rowCap) return None
+    val src = KeyedRows.Source(srcTable, source.keys)
 
-    def score(t: MemTable): Double = MemTable.eis(t, src, source.keys)
+    def score(t: Table): Double = KeyedRows.eis(t, src)
 
     def expansions(s: State): Seq[State] = {
       val joins = for {
-        (in, i) <- memInputs.zipWithIndex
+        (in, i) <- inputs.zipWithIndex
         how <- Seq("inner", "left", "full")
-        if s.t.cols.exists(in.cols.contains)
+        if s.t.columns.exists(in.columns.contains)
       } yield {
-        val t = s.t.naturalJoin(in, how)
+        val t = NaturalJoin(s.t, in, how)
         State(t, s"$how-join(#$i)" :: s.ops, score(t))
       }
-      val unions = memInputs.zipWithIndex.collect {
-        case (in, i) if in.cols.exists(s.t.cols.contains) =>
-          val t = s.t.outerUnion(in)
+      val unions = inputs.zipWithIndex.collect {
+        case (in, i) if in.columns.exists(s.t.columns.contains) =>
+          val t = outerUnion(s.t, in).distinct
           State(t, s"union(#$i)" :: s.ops, score(t))
       }
       val sigmaPi = {
-        val t = s.t.project(src.cols).selectKeys(source.keys, srcKeys)
+        val t = KeyedRows.projectSelect(s.t, src).distinct
         Seq(State(t, "select-project" :: s.ops, score(t)))
       }
       joins ++ unions ++ sigmaPi
     }
 
-    var beam: Vector[State] = memInputs.map(t => State(t, Nil, score(t))).toVector
+    var beam: Vector[State] = inputs.map(t => State(t, Nil, score(t))).toVector
       .sortBy(-_.score).take(cfg.beamWidth)
     var best = beam.head
     var depth = 0
@@ -81,6 +81,6 @@ object AutoPipelineStar {
       depth += 1
     }
 
-    Some(MemTable.toDf(best.t.padTo(source.df.columns.toIndexedSeq), spark))
+    Some(KeyedRows.toDf(padTo(best.t, srcTable.columns).distinct, spark))
   }
 }

@@ -1,6 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.KeyedRows
+import repro.core.KeyedRows.{Table, outerUnion, padTo}
 import repro.lake.SourceTable
 
 /** The Ver baseline (Gong et al., ICDE 2023) adapted to reclamation as in
@@ -13,11 +15,11 @@ import repro.lake.SourceTable
   * two-column projection of any input table containing both columns, or
   * of a natural join of two input tables that together cover the pair.
   * All views of a pair are unioned (keeping every tuple, not just source
-  * tuples), and the per-pair results are aggregated into a full-width
-  * table by full-disjunction on the key — reproducing Ver's signature
-  * high-recall / low-precision output. Inputs above `rowCap` rows time
-  * out (None), as in the paper (Ver only runs with the integrating set on
-  * TP-TR Small).
+  * tuples), and the per-pair results are combined into a full-width
+  * table by a full natural join on the key — reproducing Ver's signature
+  * high-recall / low-precision output. The inputs are collected once;
+  * above `rowCap` rows in total they time out (None), as in the paper
+  * (Ver only runs with the integrating set on TP-TR Small).
   */
 object Ver {
 
@@ -29,31 +31,27 @@ object Ver {
       spark: SparkSession,
       cfg: Config = Config()): Option[DataFrame] = {
     if (tables.isEmpty || source.keys.isEmpty) return None
-    val memInputs = tables.flatMap(df => MemTable.fromDf(df, cfg.rowCap))
-    if (memInputs.size != tables.size) return None
-    if (memInputs.map(_.rows.size).sum > cfg.rowCap) return None
+    val inputs = KeyedRows.collectRows(
+      tables.map(KeyedRows.limited(_, cfg.rowCap + 1)), s"Ver on ${source.name}")
+    if (inputs.map(_.rows.size).sum > cfg.rowCap) return None
 
     val keys = source.keys
-    val nonKey = source.nonKeyColumns
+    def has(t: Table, c: String) = t.columns.contains(c)
 
     // One 2-column "example query" per (key-set, non-key column) pair.
-    val perColumn: Seq[MemTable] = nonKey.flatMap { c =>
-      val wanted = keys :+ c
-      val direct = memInputs.filter(t => wanted.forall(t.cols.contains))
-        .map(_.project(wanted))
+    val perColumn: Seq[Table] = source.nonKeyColumns.flatMap { c =>
+      val wanted = (keys :+ c).toIndexedSeq
+      val direct = inputs.filter(t => wanted.forall(has(t, _)))
       val joined = for {
-        a <- memInputs if keys.forall(a.cols.contains) && !a.cols.contains(c)
-        b <- memInputs if b.cols.contains(c) && a.cols.exists(b.cols.contains)
-      } yield a.naturalJoin(b, "inner").project(wanted)
-      val views = direct ++ joined
-      views.reduceOption(_ outerUnion _)
+        a <- inputs if keys.forall(has(a, _)) && !has(a, c)
+        b <- inputs if has(b, c) && a.columns.exists(has(b, _))
+      } yield NaturalJoin(a, b, "inner")
+      (direct ++ joined).map(padTo(_, wanted).distinct).reduceOption(outerUnion(_, _).distinct)
     }
 
     if (perColumn.isEmpty) return None
 
-    // Aggregate the two-column views into one table: full outer join on
-    // the key (per-key cross-combination of the views' values).
-    val combined = perColumn.reduce((a, b) => a.naturalJoin(b, "full"))
-    Some(MemTable.toDf(combined.padTo(source.df.columns.toIndexedSeq), spark))
+    val combined = perColumn.reduce(NaturalJoin(_, _, "full"))
+    Some(KeyedRows.toDf(padTo(combined, source.df.columns.toIndexedSeq).distinct, spark))
   }
 }

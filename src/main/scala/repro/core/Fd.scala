@@ -1,8 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{StringType, StructField, StructType}
+import org.apache.spark.sql.DataFrame
 import scala.collection.mutable
 
 /** Full Disjunction (Galindo-Legaria) — the integration substrate of the
@@ -71,24 +69,14 @@ object Fd {
     Some(kept)
   }
 
-  /** FD over DataFrames: outer union all, collect, close, rebuild.
-    * Returns None on timeout (cap exceeded).
+  /** FD over DataFrames: outer union all, collect at most `rowCap` + 1
+    * rows in one Spark job, close them. A local DataFrame of the closed
+    * rows, or None on timeout (cap exceeded).
     */
   def fullDisjunction(dfs: Seq[DataFrame], cfg: Config = Config()): Option[DataFrame] = {
-    require(dfs.nonEmpty)
     val unioned = Operators.outerUnionAll(dfs)
-    val sp = unioned.sparkSession
-    val cols = unioned.columns.toIndexedSeq
-    if (unioned.limit(cfg.rowCap + 1).count() > cfg.rowCap) return None
-    val rows: Seq[Seq[String]] = unioned.collect().toIndexedSeq.map { r =>
-      cols.indices.map(i => Option(r.get(i)).map(_.toString).orNull)
-    }
-    closure(rows, cfg).map { closed =>
-      val schema = StructType(cols.map(c => StructField(c, StringType, nullable = true)))
-      val out = sp.createDataFrame(
-        sp.sparkContext.parallelize(closed.map(s => Row.fromSeq(s)), math.max(1, closed.size / 5000 + 1)),
-        schema)
-      out.select(cols.map(col): _*)
-    }
+    val Seq(t) =
+      KeyedRows.collectRows(Seq(KeyedRows.limited(unioned, cfg.rowCap + 1)), "full disjunction")
+    closure(t.rows, cfg).map(rows => KeyedRows.toDf(t.copy(rows = rows), unioned.sparkSession))
   }
 }

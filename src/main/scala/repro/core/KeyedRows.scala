@@ -30,7 +30,9 @@ object KeyedRows {
   val MaxRows = 1000000
 
   /** A table on the driver: column names and rows of cells (null = ⊥). */
-  final case class Table(columns: IndexedSeq[String], rows: Seq[Seq[String]])
+  final case class Table(columns: IndexedSeq[String], rows: Seq[Seq[String]]) {
+    def distinct: Table = copy(rows = rows.distinct)
+  }
 
   /** The source on the driver, with its rows grouped by key tuple (rows
     * with a null key cell align with nothing, as in an equi-join).
@@ -44,7 +46,8 @@ object KeyedRows {
   /** One Spark job: every frame's rows, cells cast to strings, collected
     * as one tagged union. Element i is frame i as a [[Table]] of its own
     * columns. Fails, naming `what`, if the union holds more than
-    * [[MaxRows]] rows.
+    * [[MaxRows]] rows. The one collect of driver rows: Gen-T, Set
+    * Similarity's verification, the metrics and the baselines call it.
     */
   def collectRows(frames: Seq[DataFrame], what: String): Seq[Table] = {
     if (frames.isEmpty) return Seq.empty
@@ -62,6 +65,12 @@ object KeyedRows {
         byTag.getOrElse(i, Array.empty[Row]).toIndexedSeq.map(_.getSeq[String](1)))
     }
   }
+
+  /** At most `n` rows of `df`, planned so that [[collectRows]] reads them
+    * in its one job: a plan whose root is a limit is collected by `take`,
+    * which submits a job per batch of partitions it scans.
+    */
+  def limited(df: DataFrame, n: Int): DataFrame = df.limit(n).coalesce(1)
 
   /** One Spark job: `source` and every table of `tables`, each table on
     * its own columns that the source has, in its own order.

@@ -8,7 +8,8 @@ import repro.lake.SourceTable
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
   * Complementation (κ).
   *
-  * The DataFrame operators here (⊎, π, σ) serve discovery and Expand.
+  * The DataFrame operators here (⊎, π, σ) serve discovery and Expand,
+  * ALITE-PS's ProjectSelect and the outer union that [[Fd]] collects.
   * β and κ are pairwise tuple operators: two tuples can only subsume or
   * complement each other if they agree on every attribute where both are
   * non-null, so once every tuple carries a non-null source-key value

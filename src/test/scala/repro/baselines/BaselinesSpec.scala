@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.{Fixtures, SparkSpec}
+import repro.{Fixtures, JobCounter, SparkSpec}
 import repro.core.Metrics
 import repro.discovery.Expand
 import repro.lake.SourceTable
@@ -95,5 +95,21 @@ class BaselinesSpec extends SparkSpec {
 
   test("Ver of an empty table list is None") {
     assert(Ver.run(Seq.empty, source, spark).isEmpty)
+  }
+
+  test("each baseline submits one Spark job: its capped collect") {
+    val in = inputs
+    // Without adaptive execution, which submits one job per query stage.
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try {
+      val runs = Seq(
+        "ALITE" -> JobCounter(spark)(Alite.run(in)),
+        "ALITE-PS" -> JobCounter(spark)(Alite.runPs(in, source)),
+        "Auto-Pipeline*" -> JobCounter(spark)(AutoPipelineStar.run(in, source, spark)),
+        "Ver" -> JobCounter(spark)(Ver.run(in, source, spark)))
+      assert(runs.forall(_._2._1.isDefined))
+      assert(runs.map { case (m, (_, jobs)) => m -> jobs } == runs.map(_._1 -> 1))
+    } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
   }
 }

@@ -1,81 +1,84 @@
 package repro.baselines
 
+import org.apache.spark.sql.DataFrame
 import repro.{Fixtures, SparkSpec}
+import repro.core.KeyedRows
+import repro.core.KeyedRows.{Source, Table, outerUnion, padTo, projectSelect}
 
-/** The in-memory table substrate used by Auto-Pipeline* and Ver. */
+/** The driver-side table operators of Auto-Pipeline* and Ver: the capped
+  * collect, [[NaturalJoin]], and the [[KeyedRows]] union, projection and
+  * ProjectSelect they call, followed by `distinct` as the baselines do.
+  */
 class MemTableSpec extends SparkSpec {
 
   private val N: String = null
-  private val t1 = MemTable(Vector("k", "a"),
-    Vector(Vector("1", "a1"), Vector("2", "a2")))
-  private val t2 = MemTable(Vector("k", "b"),
-    Vector(Vector("2", "b2"), Vector("3", "b3")))
+  private val t1 = Table(Vector("k", "a"), Vector(Vector("1", "a1"), Vector("2", "a2")))
+  private val t2 = Table(Vector("k", "b"), Vector(Vector("2", "b2"), Vector("3", "b3")))
 
-  test("fromDf/toDf round-trip preserves rows and nulls") {
+  test("collectRows/toDf round-trip preserves rows and nulls") {
     val df = Fixtures.stringDf(spark, Seq("k", "a"), Seq(Seq("1", N), Seq("2", "x")))
-    val t = MemTable.fromDf(df, 100).get
-    val back = MemTable.toDf(t, spark).collect()
+    val Seq(t) = KeyedRows.collectRows(Seq(df), "round-trip")
+    val back = KeyedRows.toDf(t, spark).collect()
       .map(r => (r.getString(0), r.getString(1))).toSet
     assert(back == Set(("1", null), ("2", "x")))
   }
 
-  test("fromDf respects the row cap (timeout modelling)") {
-    val df = spark.range(50).selectExpr("cast(id as string) as k")
-    assert(MemTable.fromDf(df, 10).isEmpty)
-    assert(MemTable.fromDf(df, 50).isDefined)
+  test("baselines return None above the row cap (timeout modelling)") {
+    val source = Fixtures.figure3Source(spark)
+    val df = spark.range(50).selectExpr("cast(id as string) as ID", "'x' as Name")
+    assert(Ver.run(Seq(df), source, spark, Ver.Config(rowCap = 10)).isEmpty)
+    assert(Ver.run(Seq(df), source, spark, Ver.Config(rowCap = 50)).isDefined)
+    def autoPipeline(in: DataFrame, cap: Int) =
+      AutoPipelineStar.run(Seq(in), source, spark, AutoPipelineStar.Config(rowCap = cap))
+    assert(autoPipeline(df, 10).isEmpty)
+    assert(autoPipeline(df, 50).isDefined)
+    // The source's 3 rows count against the cap too.
+    assert(autoPipeline(df.limit(2), 2).isEmpty && autoPipeline(df.limit(3), 3).isDefined)
   }
 
   test("inner natural join") {
-    val j = t1.naturalJoin(t2, "inner")
-    assert(j.cols == Vector("k", "a", "b"))
+    val j = NaturalJoin(t1, t2, "inner")
+    assert(j.columns == Vector("k", "a", "b"))
     assert(j.rows.toSet == Set(Vector("2", "a2", "b2")))
   }
 
   test("left natural join keeps unmatched left rows") {
-    val j = t1.naturalJoin(t2, "left")
+    val j = NaturalJoin(t1, t2, "left")
     assert(j.rows.toSet == Set(Vector("1", "a1", null), Vector("2", "a2", "b2")))
   }
 
   test("full natural join keeps both sides") {
-    val j = t1.naturalJoin(t2, "full")
+    val j = NaturalJoin(t1, t2, "full")
     assert(j.rows.toSet == Set(
       Vector("1", "a1", null), Vector("2", "a2", "b2"), Vector("3", null, "b3")))
   }
 
   test("join with null key never matches") {
-    val withNull = MemTable(Vector("k", "a"), Vector(Vector(null, "ax")))
-    val j = withNull.naturalJoin(t2, "inner")
+    val withNull = Table(Vector("k", "a"), Vector(Vector(null, "ax")))
+    val j = NaturalJoin(withNull, t2, "inner")
     assert(j.rows.isEmpty)
   }
 
   test("outer union pads and dedupes") {
-    val u = t1.outerUnion(t2)
-    assert(u.cols == Vector("k", "a", "b"))
+    val u = outerUnion(t1, t2).distinct
+    assert(u.columns == Vector("k", "a", "b"))
     assert(u.rows.size == 4)
+    assert(outerUnion(t1, t1).distinct == t1)
   }
 
   test("project keeps requested columns in order, dropping unknown ones") {
-    val p = t1.project(Seq("a", "zzz"))
-    assert(p.cols == Vector("a"))
+    val p = projectSelect(t1, Source(Table(Vector("a", "zzz"), Seq.empty), Seq("zzz")))
+    assert(p.columns == Vector("a"))
   }
 
-  test("selectKeys filters to the given key set") {
-    val s = t1.selectKeys(Seq("k"), Set(Vector("2")))
+  test("projectSelect filters to the source's key set") {
+    val s = projectSelect(t1, Source(Table(Vector("k", "a"), Seq(Seq("2", "zz"))), Seq("k")))
     assert(s.rows == Vector(Vector("2", "a2")))
   }
 
   test("padTo adds null columns") {
-    val p = t1.padTo(Seq("k", "a", "extra"))
-    assert(p.cols == Vector("k", "a", "extra"))
+    val p = padTo(t1, Vector("k", "a", "extra"))
+    assert(p.columns == Vector("k", "a", "extra"))
     assert(p.rows.forall(_.last == null))
-  }
-
-  test("in-memory EIS matches the Spark implementation on Example 6") {
-    val source = Fixtures.figure3Source(spark)
-    val srcMem = MemTable.fromDf(source.df, 100).get
-    val s1 = MemTable.fromDf(Fixtures.sHat1(spark), 100).get
-    val s2 = MemTable.fromDf(Fixtures.sHat2(spark), 100).get
-    assert(math.abs(MemTable.eis(s1, srcMem, Seq("ID")) - 0.875) < 1e-9)
-    assert(math.abs(MemTable.eis(s2, srcMem, Seq("ID")) - 0.9166667) < 1e-6)
   }
 }

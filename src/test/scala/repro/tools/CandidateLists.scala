@@ -22,28 +22,35 @@ import repro.discovery.SetSimilarity
   */
 object CandidateLists {
 
-  def main(args: Array[String]): Unit = {
+  /** Run `body` on the TP-TR Small benchmark built under `args(0)` (see
+    * above), in a Spark session of its own that is stopped afterwards.
+    */
+  def onTpTrSmall(appName: String, args: Array[String])(
+      body: (SparkSession, TpTr.Benchmark) => Unit): Unit = {
     val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("candidate-lists")
+      .appName(appName)
       .config("spark.sql.shuffle.partitions", "8")
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     spark.sparkContext.setLogLevel("ERROR")
     try {
       val root = args.headOption.getOrElse(Files.createTempDirectory("tptr").toString)
-      val bench = TpTr.build(spark, root, TpTr.Small)
-      bench.sources.foreach { src =>
-        val cands = SetSimilarity.findCandidates(bench.repo, bench.index, src, spark)
-        cands.foreach { c =>
-          val mapping = c.mapping.toSeq.sorted.map { case (l, s) => s"$l->$s" }.mkString(",")
-          println(s"${src.name}\tcandidate\t${c.table}\t$mapping\t${c.score}")
-        }
-        val r = GenT.reclaimFromCandidates(bench.repo, cands, src, spark)
-        val s = Metrics.all(r.reclaimed, src)
-        println(s"${src.name}\toriginating\t${r.originating.mkString(",")}")
-        println(s"${src.name}\tscores\trecall=${s.recall}\tprecision=${s.precision}")
-      }
+      body(spark, TpTr.build(spark, root, TpTr.Small))
     } finally spark.stop()
+  }
+
+  def main(args: Array[String]): Unit = onTpTrSmall("candidate-lists", args) { (spark, bench) =>
+    bench.sources.foreach { src =>
+      val cands = SetSimilarity.findCandidates(bench.repo, bench.index, src, spark)
+      cands.foreach { c =>
+        val mapping = c.mapping.toSeq.sorted.map { case (l, s) => s"$l->$s" }.mkString(",")
+        println(s"${src.name}\tcandidate\t${c.table}\t$mapping\t${c.score}")
+      }
+      val r = GenT.reclaimFromCandidates(bench.repo, cands, src, spark)
+      val s = Metrics.all(r.reclaimed, src)
+      println(s"${src.name}\toriginating\t${r.originating.mkString(",")}")
+      println(s"${src.name}\tscores\trecall=${s.recall}\tprecision=${s.precision}")
+    }
   }
 }
