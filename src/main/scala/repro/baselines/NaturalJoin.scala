@@ -14,7 +14,8 @@ object NaturalJoin {
     * equality as in SQL's `JOIN … ON`: `l`'s columns, then `r`'s others;
     * distinct rows. `how` is inner, left or full. Unmatched rows of a
     * left or full join are padded with nulls; a full join's right-only
-    * rows take the shared cells from `r`.
+    * rows, which include every row of `r` with a null key cell, take the
+    * shared cells from `r`.
     */
   def apply(l: Table, r: Table, how: String): Table = {
     require(Set("inner", "left", "full")(how), s"join type $how")
@@ -39,7 +40,7 @@ object NaturalJoin {
       val fromR = l.columns.map(c => shared.indexOf(c) match { case -1 => -1; case i => ri(i) })
       for (row <- r.rows) {
         val k = ri.map(row)
-        if (!k.contains(null) && !matched(k))
+        if (!matched(k))
           out += fromR.map(i => if (i >= 0) row(i) else null) ++ rExtra.map(row)
       }
     }

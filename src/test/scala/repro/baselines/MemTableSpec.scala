@@ -1,7 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.{Fixtures, SparkSpec}
+import org.scalacheck.{Gen, Prop, Test => SCTest}
+import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.KeyedRows
 import repro.core.KeyedRows.{Source, Table, outerUnion, padTo, projectSelect}
 
@@ -80,5 +81,48 @@ class MemTableSpec extends SparkSpec {
     val p = padTo(t1, Vector("k", "a", "extra"))
     assert(p.columns == Vector("k", "a", "extra"))
     assert(p.rows.forall(_.last == null))
+  }
+
+  test("full natural join keeps right rows whose join key has a null cell") {
+    val l = Table(Vector("k", "a"), Seq(Seq("1", "a1")))
+    val r = Table(Vector("k", "b"), Seq(Seq("1", "b1"), Seq(N, "bx")))
+    assert(NaturalJoin(l, r, "full").rows.toSet == Set(Seq("1", "a1", "b1"), Seq(N, N, "bx")))
+    assert(NaturalJoin(r, l, "full").rows.toSet == Set(Seq("1", "b1", "a1"), Seq(N, "bx", N)))
+  }
+
+  test("natural join matches DuckDB's INNER, LEFT and FULL JOIN on random tables") {
+    // 1–2 shared columns in any position; null cells in key and non-key
+    // columns; duplicate keys from a small domain and duplicate rows.
+    val keyCell = Gen.frequency(1 -> Gen.const(N), 4 -> Gen.oneOf("0", "1", "2"))
+    val cell = Gen.oneOf(N, "x", "y")
+    def table(shared: Seq[String], own: Seq[String]): Gen[Table] = for {
+      cols <- Gen.someOf(own).flatMap(o => Gen.oneOf((shared ++ o).permutations.toSeq))
+      rows <- Gen.choose(0, 6).flatMap(Gen.listOfN(_, Gen.sequence[Seq[String], String](
+        cols.map(c => if (shared.contains(c)) keyCell else cell))))
+      dups <- Gen.choose(0, rows.size)
+    } yield Table(cols.toIndexedSeq, rows ++ rows.take(dups))
+    val gen = for {
+      shared <- Gen.oneOf(Seq("k"), Seq("k", "j"))
+      l <- table(shared, Seq("a", "b"))
+      r <- table(shared, Seq("c", "d"))
+      how <- Gen.oneOf("inner", "left", "full")
+    } yield (l, r, how)
+    def bag(rows: Seq[Seq[String]]) = rows.groupBy(identity).view.mapValues(_.size).toMap
+    val prop = Prop.forAll(gen) { case (l, r, how) =>
+      val shared = l.columns.filter(r.columns.contains)
+      val select = l.columns.map(c =>
+        if (shared.contains(c)) s"COALESCE(lt.$c, rt.$c) AS $c" else s"lt.$c AS $c") ++
+        r.columns.filterNot(shared.contains).map(c => s"rt.$c AS $c")
+      val sql = s"SELECT DISTINCT ${select.mkString(", ")} FROM lt ${how.toUpperCase} JOIN rt " +
+        s"ON ${shared.map(c => s"lt.$c = rt.$c").mkString(" AND ")}"
+      val (dCols, dRows) = Oracle.query(sql,
+        "lt" -> KeyedRows.toDf(l, spark), "rt" -> KeyedRows.toDf(r, spark))
+      val got = NaturalJoin(l, r, how)
+      got.columns.toSet == dCols.toSet &&
+        bag(padTo(got, dCols.toIndexedSeq).rows) ==
+          bag(dRows.map(row => dCols.indices.map(i => row.getString(i))))
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop)
+    assert(res.passed, res.status.toString)
   }
 }
