@@ -35,9 +35,9 @@ object AutoPipelineStar {
       cfg: Config = Config()): Option[DataFrame] = {
     if (tables.isEmpty) return None
 
-    val collected = KeyedRows.collectRows(
-      (source.df +: tables).map(KeyedRows.limited(_, cfg.rowCap + 1)), s"Auto-Pipeline* on ${source.name}")
-    val (srcTable, inputs) = (collected.head, collected.tail)
+    val srcTable +: inputs = KeyedRows.collectRows(
+      (source.df +: tables).map(KeyedRows.limited(_, cfg.rowCap + 1)),
+      s"Auto-Pipeline* on ${source.name}")
     if (srcTable.rows.size > cfg.rowCap || inputs.map(_.rows.size).sum > cfg.rowCap) return None
     val src = KeyedRows.Source(srcTable, source.keys)
 
