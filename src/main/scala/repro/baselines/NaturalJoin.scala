@@ -37,7 +37,7 @@ object NaturalJoin {
       } else if (how != "inner") out += row ++ nullsR
     }
     if (how == "full") {
-      val fromR = l.columns.map(c => shared.indexOf(c) match { case -1 => -1; case i => ri(i) })
+      val fromR = l.columns.map(r.columns.indexOf)
       for (row <- r.rows) {
         val k = ri.map(row)
         if (!matched(k))
