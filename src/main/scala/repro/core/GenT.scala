@@ -9,10 +9,11 @@ import repro.lake.{SourceTable, TableRepo}
   * Expand (key coverage) → Matrix Traversal (originating-table pruning) →
   * Table Integration (Algorithm 2) → reclaimed source table.
   *
-  * Discovery and Expand run in Spark. After them every table holds only
-  * rows with a source key, so one job collects S and the expanded tables
-  * ([[KeyedRows.collect]]); matrix traversal and integration run on the
-  * driver, and the reclaimed table is a local DataFrame of their rows.
+  * Discovery runs in Spark. After it one job collects S and every
+  * candidate ([[KeyedRows.collect]]): a keyed one only with rows carrying
+  * a source key, a keyless one whole. Expand, matrix traversal and
+  * integration run on the driver, and the reclaimed table is a local
+  * DataFrame of their rows.
   */
 object GenT {
 
@@ -25,49 +26,6 @@ object GenT {
       candidates: Seq[String],
       originating: Seq[String],
       millis: Long)
-
-  /** Compute Expand's edge weights from candidate column overlaps: two
-    * renamed candidates are joinable on a shared source column; the
-    * weight approximates how lossless that equi-join is. We estimate with
-    * a cheap distinct-overlap probe per shared column over the (already
-    * projected, renamed) candidate pair. Only candidates lacking a source
-    * key column read the weights, so with none of them no job runs.
-    */
-  private def expandWeights(
-      tables: Seq[(String, DataFrame)],
-      source: SourceTable): Map[(String, String), Map[String, Double]] = {
-    import org.apache.spark.sql.functions._
-    if (!needsWeights(tables.map(_._2), source)) return Map.empty
-    // Two jobs: unpivot every candidate and count its values per column;
-    // self-join on (column, value) and count per (tableA, tableB, column).
-    // Then weight = Σ_shared-col |∩| / min(|A.col|, |B.col|).
-    val unpivoted = Operators.outerUnionAll(tables.map { case (n, df) =>
-      repro.lake.LakeIndex.unpivot(df).select(lit(n).as("table"), col("column"), col("value"))
-    }).cache()
-    val sizes = unpivoted.groupBy("table", "column").agg(count("*").as("n"))
-      .collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    val a = unpivoted.select(col("table").as("t1"), col("column"), col("value"))
-    val b = unpivoted.select(col("table").as("t2"), col("column").as("c2"), col("value").as("v2"))
-    val inter = a
-      .join(b, col("column") === col("c2") && col("value") === col("v2") && col("t1") < col("t2"))
-      .groupBy("t1", "t2", "column").agg(count("*").as("m"))
-      .collect()
-    unpivoted.unpersist()
-    inter.toIndexedSeq
-      .map { r =>
-        val (t1, t2, c, m) = (r.getString(0), r.getString(1), r.getString(2), r.getLong(3))
-        val minSz = math.max(1L, math.min(
-          sizes.getOrElse((t1, c), 1L), sizes.getOrElse((t2, c), 1L))).toDouble
-        (t1, t2) -> (c -> (m.toDouble / minSz))
-      }
-      .groupBy(_._1).map { case (k, xs) => k -> xs.map(_._2).toMap }
-  }
-
-  /** Expand reads edge weights only when two or more candidates are
-    * given and one of them lacks a source key column.
-    */
-  private def needsWeights(tables: Seq[DataFrame], source: SourceTable): Boolean =
-    tables.size >= 2 && tables.exists(df => !source.keys.forall(df.columns.contains))
 
   /** Run Gen-T for one source table over the repository `repo`, whose
     * value index `index` was built with [[repro.lake.LakeIndex]].
@@ -94,35 +52,21 @@ object GenT {
       spark: SparkSession,
       cfg: Config = Config()): Result = {
     val t0 = System.nanoTime()
-    val renamed = candidates.map(c => c.table -> SetSimilarity.renamed(repo, c))
+    def result(reclaimed: DataFrame, originating: Seq[String]) =
+      Result(reclaimed, candidates.map(_.table), originating, (System.nanoTime() - t0) / 1000000)
+    if (candidates.isEmpty) return result(source.df.limit(0), Seq.empty)
 
-    if (renamed.isEmpty) {
-      return Result(source.df.limit(0), Seq.empty, Seq.empty,
-        (System.nanoTime() - t0) / 1000000)
-    }
+    // Select early: every table Gen-T keeps needs only rows aligned to the
+    // source keys, so a keyed candidate brings only those (a semi-join in
+    // Spark); a keyless one comes whole, as Expand joins through its rows.
+    // One job brings them and S to the driver, where the rest runs.
+    val (src, rows) = KeyedRows.collect(source,
+      candidates.map(c => Operators.selectSourceKeys(SetSimilarity.renamed(repo, c), source)))
 
-    // Select early: every downstream table only needs rows aligned to the
-    // source keys, so prune keyed candidates to those rows (a semi-join
-    // in Spark) before Expand. The pruned tables are cached only when the
-    // weight jobs read them before the collect does.
-    val cache = needsWeights(renamed.map(_._2), source)
-    val pruned = renamed.map { case (n, df) =>
-      val p = Operators.selectSourceKeys(df, source)
-      n -> (if (cache) p.cache() else p)
-    }
-    val (src, tables) = try {
-      // --- Expand (Algorithm 5): give every candidate the source key.
-      val expanded = Expand.expandAll(pruned, source, expandWeights(pruned, source))
-        .map(e => e.copy(df = Operators.projectSelect(e.df, source)))
-      if (expanded.isEmpty) {
-        return Result(source.df.limit(0), candidates.map(_.table), Seq.empty,
-          (System.nanoTime() - t0) / 1000000)
-      }
-      // Every table now holds only rows with a source key: one job brings
-      // them and S to the driver, where the rest of Gen-T runs.
-      val (src, rows) = KeyedRows.collect(source, expanded.map(_.df))
-      (src, expanded.map(_.name).zip(rows))
-    } finally if (cache) pruned.foreach(_._2.unpersist())
+    // --- Expand (Algorithm 5): give every candidate the source key.
+    val tables = Expand.expandAll(candidates.map(_.table).zip(rows), src)
+      .map(e => e.name -> KeyedRows.projectSelect(e.table, src))
+    if (tables.isEmpty) return result(source.df.limit(0), Seq.empty)
 
     // --- Matrix Traversal (Algorithm 1): prune to originating tables.
     val matrices = MatrixTraversal.initMatrices(tables, src, cfg.matrix)
@@ -134,7 +78,6 @@ object GenT {
       Integration.integrate(tables.collect { case (n, t) if picked.contains(n) => t }, src),
       spark)
 
-    Result(reclaimed, candidates.map(_.table), picked,
-      (System.nanoTime() - t0) / 1000000)
+    result(reclaimed, picked)
   }
 }

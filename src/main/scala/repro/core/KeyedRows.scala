@@ -9,12 +9,14 @@ import repro.lake.SourceTable
 
 /** The driver-side keyed-row kernel that runs Gen-T after discovery.
   *
-  * After Expand and ProjectSelect every table Gen-T still handles holds
-  * only rows carrying one of the source's keys, so its size is bounded by
-  * |S| times the rows a lake table has per key (q15's integrated output is
-  * 55 rows). [[collect]] brings the source and all those tables to the
-  * driver in one Spark job; matrix initialization, traversal and every
-  * step of Algorithm 2 then run here over string rows (null = ⊥).
+  * [[collect]] brings the source and every candidate to the driver in one
+  * Spark job: a candidate with the source key only with rows carrying one
+  * of the source's keys, so bounded by |S| times the rows a lake table has
+  * per key; a keyless one whole, since Expand joins through its rows.
+  * Expand, [[projectSelect]], matrix initialization, traversal and every
+  * step of Algorithm 2 then run here over string rows (null = ⊥), every
+  * table after ProjectSelect holding only rows with a source key (q15's
+  * integrated output is 55 rows).
   *
   * β and κ are per-key closures ([[Operators.subsumeGroup]],
   * [[Operators.complementGroup]]): two tuples can only subsume or

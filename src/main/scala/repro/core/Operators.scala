@@ -8,8 +8,9 @@ import repro.lake.SourceTable
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
   * Complementation (κ).
   *
-  * The DataFrame operators here (⊎, π, σ) serve discovery and Expand,
-  * ALITE-PS's ProjectSelect and the outer union that [[Fd]] collects.
+  * The DataFrame operators here (⊎, π, σ) serve the semi-join of Gen-T's
+  * one collect, ALITE-PS's ProjectSelect and the outer union that [[Fd]]
+  * collects.
   * β and κ are pairwise tuple operators: two tuples can only subsume or
   * complement each other if they agree on every attribute where both are
   * non-null, so once every tuple carries a non-null source-key value
@@ -41,9 +42,8 @@ object Operators {
 
   /** Select tuples whose key value appears among the source's key values
     * (σ of Algorithm 2's ProjectSelect) — a distributed semi-join.
-    * Tables missing some key column are returned unchanged (they are
-    * expected to have been expanded first; ALITE-PS also uses this and
-    * simply keeps such tables whole).
+    * Tables missing some key column are returned unchanged (Gen-T
+    * expands them on the driver; ALITE-PS keeps them whole).
     */
   def selectSourceKeys(df: DataFrame, source: SourceTable): DataFrame =
     if (!source.keys.forall(df.columns.contains)) df

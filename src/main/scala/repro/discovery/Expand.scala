@@ -1,70 +1,89 @@
 package repro.discovery
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import repro.lake.SourceTable
+import repro.core.KeyedRows.{Source, Table}
 
-/** Expand (paper Algorithm 5, Appendix C).
+/** Expand (paper Algorithm 5, Appendix C), on the driver.
   *
   * Candidates that do not contain the source key column(s) cannot align
   * their tuples to the source. For each such candidate we search the join
   * graph — nodes are candidates, an edge connects two candidates sharing
-  * a (renamed) column, weighted by the estimated join usefulness of that
-  * column — for the maximum-weight path (DFS, as in the paper) ending at
-  * a candidate that does contain the key, and materialize the joins along
-  * the path as distributed natural equi-joins.
+  * a (renamed) column, weighted by [[weights]] — for the maximum-weight
+  * path (DFS, as in the paper) ending at a candidate that does contain
+  * the key, and join the tables along the path ([[joinCoalesce]]). Gen-T
+  * runs it over the rows of its one collect: keyed candidates restricted
+  * to S's keys, keyless ones whole.
   */
 object Expand {
 
-  /** A candidate after expansion: `df` is guaranteed to contain every
+  /** A candidate after expansion: `table` is guaranteed to contain every
     * source key column; `parts` records which candidate tables were
     * joined to build it (== Seq(name) when no join was needed).
     */
-  final case class Expanded(name: String, df: DataFrame, parts: Seq[String])
+  final case class Expanded(name: String, table: Table, parts: Seq[String])
 
-  /** Natural equi-join on one chosen column; other columns appearing on
+  /** Inner equi-join on one chosen column; other columns appearing on
     * both sides are merged with coalesce (left wins on conflict). Joining
     * on every shared column would be too strict for lake tables: a null
     * on either side of a secondary shared column must not drop the row.
+    * A bag: each row of `l`, in order, once per row of `r` with its `on`
+    * value (in `r`'s order); a null `on` cell matches nothing.
     */
-  def joinCoalesce(l: DataFrame, r: DataFrame, on: String): DataFrame = {
-    val dup = l.columns.toIndexedSeq.intersect(r.columns.toIndexedSeq).filterNot(_ == on)
-    val rRen = dup.foldLeft(r)((d, c) => d.withColumnRenamed(c, s"__r_$c"))
-    val joined = l.join(rRen, Seq(on), "inner")
-    val outCols = l.columns.toIndexedSeq.map { c =>
-      if (dup.contains(c)) coalesce(col(c), col(s"__r_$c")).as(c) else col(c)
-    } ++ r.columns.toIndexedSeq.filterNot(c => c == on || dup.contains(c)).map(col)
-    joined.select(outCols: _*)
+  def joinCoalesce(l: Table, r: Table, on: String): Table = {
+    val (li, ri) = (l.columns.indexOf(on), r.columns.indexOf(on))
+    val fill = l.columns.map(r.columns.indexOf)
+    val rest = r.columns.indices.filterNot(i => l.columns.contains(r.columns(i)))
+    val byKey = r.rows.groupBy(_(ri))
+    Table(l.columns ++ rest.map(r.columns), for {
+      a <- l.rows if a(li) != null
+      b <- byKey.getOrElse(a(li), Nil)
+    } yield l.columns.indices.map(i => if (a(i) == null && fill(i) >= 0) b(fill(i)) else a(i)) ++
+      rest.map(b))
+  }
+
+  /** The join weight of `a` and `b` on each column they share: |∩| /
+    * min(|a.c|, |b.c|) over the column's distinct non-null values.
+    * Columns whose values do not overlap are left out.
+    */
+  def weights(a: Table, b: Table): Map[String, Double] = {
+    def values(t: Table, c: String): Set[String] = {
+      val i = t.columns.indexOf(c)
+      t.rows.iterator.map(_(i)).filter(_ != null).toSet
+    }
+    a.columns.filter(b.columns.contains).flatMap { c =>
+      val (x, y) = (values(a, c), values(b, c))
+      val m = x.count(y)
+      if (m == 0) None else Some(c -> m.toDouble / math.min(x.size, y.size))
+    }.toMap
   }
 
   /** Expand every candidate so each output table contains the key.
     *
-    * @param tables      renamed candidate tables (name → DataFrame whose
-    *                    columns are already source column names)
-    * @param source      the source table (keys are source column names)
-    * @param weights     per-pair per-shared-column join weights
-    *                    ((tableA, tableB) → column → weight); the edge
-    *                    weight is the best single join column's weight and
-    *                    the join is performed on that column
+    * @param tables renamed candidate tables (name → table whose columns
+    *               are already source column names)
+    * @param source the source; its keys decide which tables are keyed,
+    *               and its column order breaks ties between join columns
     * @return expanded candidates; candidates for which no join path to a
-    *         keyed table exists are dropped (they cannot align).
+    *         keyed table exists are dropped (they cannot align). The
+    *         edge weight is the best single join column's weight and the
+    *         join is performed on that column (the earliest in the
+    *         source on a tie).
     */
-  def expandAll(
-      tables: Seq[(String, DataFrame)],
-      source: SourceTable,
-      weights: Map[(String, String), Map[String, Double]],
-      maxPaths: Int = 2): Seq[Expanded] = {
+  def expandAll(tables: Seq[(String, Table)], source: Source, maxPaths: Int = 2): Seq[Expanded] = {
 
     val hasKey: Map[String, Boolean] =
-      tables.map { case (n, df) => n -> source.keys.forall(df.columns.contains) }.toMap
+      tables.map { case (n, t) => n -> source.keys.forall(t.columns.contains) }.toMap
     val byName = tables.toMap
     val names = tables.map(_._1)
 
+    // Only keyless candidates read the weights, each pair once.
+    lazy val pairWeights: Map[(String, String), Map[String, Double]] =
+      names.combinations(2).map { case Seq(a, b) => (a, b) -> weights(byName(a), byName(b)) }.toMap
+
     def colWeights(a: String, b: String): Map[String, Double] =
-      weights.getOrElse((a, b), weights.getOrElse((b, a), Map.empty))
-        .filter { case (c, w) =>
-          w > 0 && byName(a).columns.contains(c) && byName(b).columns.contains(c)
-        }
+      pairWeights.getOrElse((a, b), pairWeights.getOrElse((b, a), Map.empty))
+
+    def joinColumn(a: String, b: String): String =
+      colWeights(a, b).toSeq.minBy { case (c, w) => (-w, source.table.columns.indexOf(c)) }._1
 
     def neighbours(n: String): Seq[(String, Double)] =
       names.filter(_ != n).flatMap { m =>
@@ -115,9 +134,7 @@ object Expand {
       if (hasKey(n)) Seq(Expanded(n, byName(n), Seq(n)))
       else bestPaths(n).map { path =>
         val joined = path.zip(path.tail).foldLeft(byName(path.head)) {
-          case (acc, (prev, next)) =>
-            val joinCol = colWeights(prev, next).maxBy(_._2)._1
-            joinCoalesce(acc, byName(next), joinCol)
+          case (acc, (prev, next)) => joinCoalesce(acc, byName(next), joinColumn(prev, next))
         }
         Expanded(path.mkString("+"), joined, path)
       }

@@ -12,8 +12,8 @@ import repro.core.{KeyedRows, Operators}
   *          source is null) — Eq. (4).
   *
   * Matrix initialization and traversal run on the driver, over the
-  * expanded tables' rows that [[KeyedRows.collect]] brought there in one
-  * Spark job (a matrix is at most |S| × |non-key cols| × cap — tiny). The
+  * expanded tables Expand built there from the rows of Gen-T's one
+  * [[KeyedRows.collect]] job (a matrix is at most |S| × |non-key cols| × cap — tiny). The
   * greedy traversal is exactly Algorithm 1: start from the best single
   * matrix and keep adding the table whose Combine() raises the simulated
   * EIS, stopping at convergence.

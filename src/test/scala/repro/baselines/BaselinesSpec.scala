@@ -1,7 +1,8 @@
 package repro.baselines
 
+import org.apache.spark.sql.DataFrame
 import repro.{Fixtures, JobCounter, SparkSpec}
-import repro.core.Metrics
+import repro.core.{KeyedRows, Metrics}
 import repro.discovery.Expand
 import repro.lake.SourceTable
 
@@ -11,12 +12,16 @@ class BaselinesSpec extends SparkSpec {
   private val N: String = null
   private lazy val source = Fixtures.figure3Source(spark)
 
+  /** `t` expanded through A as Gen-T's candidates would be, as a frame. */
+  private def throughA(t: DataFrame): DataFrame = {
+    val Seq(tt, a) = KeyedRows.collectRows(Seq(t, Fixtures.tableA(spark)), "fixtures")
+    KeyedRows.toDf(Expand.joinCoalesce(tt, a, "Name"), spark)
+  }
+
   /** Candidates as the baselines receive them: renamed to source columns
-    * (A keyed; D expanded through A as Gen-T's candidates would be).
+    * (A keyed; D expanded through A).
     */
-  private def inputs: Seq[org.apache.spark.sql.DataFrame] = Seq(
-    Fixtures.tableA(spark),
-    Expand.joinCoalesce(Fixtures.tableD(spark), Fixtures.tableA(spark), "Name"))
+  private def inputs: Seq[DataFrame] = Seq(Fixtures.tableA(spark), throughA(Fixtures.tableD(spark)))
 
   test("ALITE integrates everything via FD (target-agnostic)") {
     val out = Alite.run(inputs).get
@@ -25,8 +30,7 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("ALITE with the contradicting table C still carries C's values (low precision)") {
-    val withC = inputs :+ Expand.joinCoalesce(
-      Fixtures.tableC(spark), Fixtures.tableA(spark), "Name")
+    val withC = inputs :+ throughA(Fixtures.tableC(spark))
     val out = Alite.run(withC).get
     val s = Metrics.all(out, source)
     val sClean = Metrics.all(Alite.run(inputs).get, source)
@@ -64,8 +68,7 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("Auto-Pipeline* with misleading C scores below Gen-T-style pruning") {
-    val withC = inputs :+ Expand.joinCoalesce(
-      Fixtures.tableC(spark), Fixtures.tableA(spark), "Name")
+    val withC = inputs :+ throughA(Fixtures.tableC(spark))
     val out = AutoPipelineStar.run(withC, source, spark).get
     val s = Metrics.all(out, source)
     assert(s.recall > 0.0)

@@ -96,7 +96,7 @@ class GenTSpec extends SparkSpec {
       assert(keyed.originating.size >= 2, s"got ${keyed.originating}")
       assert(expanded.originating.exists(_.contains("+")), s"got ${expanded.originating}")
       assert(Seq(oneJobs, keyedJobs) == Seq(1, 1), "every candidate keyed: one collect")
-      assert(expandedJobs == 3, "Expand's two weight jobs, then one collect")
+      assert(expandedJobs == 1, "one collect")
       assert(keyed.reclaimed.collect().toSet == source.df.collect().toSet)
     } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
   }

@@ -11,20 +11,13 @@ class IntegrationSpec extends SparkSpec {
   private val N: String = null
   private lazy val source = Fixtures.figure3Source(spark)
 
-  private def expanded(names: String*): Seq[Expand.Expanded] = {
+  /** S and the named Figure 3 tables, collected and expanded on the driver. */
+  private def integrate(names: String*): (KeyedRows.Source, Table) = {
     val all = Map(
       "A" -> Fixtures.tableA(spark), "B" -> Fixtures.tableB(spark),
       "C" -> Fixtures.tableC(spark), "D" -> Fixtures.tableD(spark))
-    val w = Map(
-      ("A", "B") -> Map("Name" -> 1.0),
-      ("A", "C") -> Map("Name" -> 1.0),
-      ("A", "D") -> Map("Name" -> 1.0))
-    Expand.expandAll(names.map(n => n -> all(n)), source, w)
-  }
-
-  private def integrate(names: String*): (KeyedRows.Source, Table) = {
-    val (src, tabs) = KeyedRows.collect(source, expanded(names: _*).map(_.df))
-    (src, Integration.integrate(tabs, src))
+    val (src, tabs) = KeyedRows.collect(source, names.map(all))
+    (src, Integration.integrate(Expand.expandAll(names.zip(tabs), src).map(_.table), src))
   }
 
   private def cell(t: Table, row: Seq[String], c: String): String = row(t.columns.indexOf(c))
@@ -49,8 +42,8 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("labelNulls labels a shared null so it cannot be over-combined") {
-    val d = Expand.joinCoalesce(Fixtures.tableD(spark), Fixtures.tableA(spark), "Name")
-    val (src, Seq(dt)) = KeyedRows.collect(source, Seq(d))
+    val (src, Seq(d, a)) = KeyedRows.collect(source, Seq(Fixtures.tableD(spark), Fixtures.tableA(spark)))
+    val dt = Expand.joinCoalesce(d, a, "Name")
     val lab = Integration.labelNulls(dt, src)
     val smith = lab.rows.find(cell(lab, _, "Name") == "Smith").get
     val g = cell(lab, smith, "Gender")

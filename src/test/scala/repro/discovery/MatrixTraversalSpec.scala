@@ -12,26 +12,18 @@ class MatrixTraversalSpec extends SparkSpec {
   private lazy val source = Fixtures.figure3Source(spark)
   private val nNonKey = 4 // Name, Age, Gender, Education
 
-  private def expandedFixture: Seq[Expand.Expanded] = {
-    val a = Fixtures.tableA(spark)
-    val b = Fixtures.tableB(spark)
-    val c = Fixtures.tableC(spark)
-    val d = Fixtures.tableD(spark)
-    val w = Map(
-      ("A", "B") -> Map("Name" -> 1.0),
-      ("A", "C") -> Map("Name" -> 1.0),
-      ("A", "D") -> Map("Name" -> 1.0))
-    Expand.expandAll(Seq("A" -> a, "B" -> b, "C" -> c, "D" -> d), source, w)
-  }
-
-  /** The fixture's matrices, initialized from its rows on the driver. */
-  private def matrices(expanded: Seq[Expand.Expanded]): Map[String, MatrixTraversal.Matrix] = {
-    val (src, tables) = KeyedRows.collect(source, expanded.map(_.df))
-    MatrixTraversal.initMatrices(expanded.map(_.name).zip(tables), src)
+  /** The fixture's matrices: A–D collected, expanded and initialized on
+    * the driver.
+    */
+  private def matrices: Map[String, MatrixTraversal.Matrix] = {
+    val (src, tables) = KeyedRows.collect(source, Seq(
+      Fixtures.tableA(spark), Fixtures.tableB(spark), Fixtures.tableC(spark), Fixtures.tableD(spark)))
+    val expanded = Expand.expandAll(Seq("A", "B", "C", "D").zip(tables), src)
+    MatrixTraversal.initMatrices(expanded.map(e => e.name -> e.table), src)
   }
 
   test("matrix of Table A codes matches Figure 5") {
-    val ms = matrices(expandedFixture)
+    val ms = matrices
     val mA = ms("A")
     // Row 0 (Smith): Name=1, Age=0 (A lacks Age → null, S non-null),
     // Gender=1 (both null), Education=1.
@@ -44,7 +36,7 @@ class MatrixTraversalSpec extends SparkSpec {
   }
 
   test("matrix of expanded C has -1 codes for contradicting Gender") {
-    val ms = matrices(expandedFixture)
+    val ms = matrices
     val mC = ms.keys.find(_.contains("C")).map(ms).get
     // Wang's Gender is Male in C but Female in S → -1 at Gender.
     assert(mC.rows("2").head(2) == -1)
@@ -82,8 +74,7 @@ class MatrixTraversalSpec extends SparkSpec {
   }
 
   test("traversal keeps A/B/D and rejects contradicting C (Example 10)") {
-    val expanded = expandedFixture
-    val ms = matrices(expanded)
+    val ms = matrices
     val picked = MatrixTraversal.traverse(ms, 3, nNonKey)
     assert(picked.nonEmpty)
     assert(!picked.exists(_.contains("C")), s"C must be rejected, got $picked")
