@@ -11,7 +11,8 @@ import repro.lake.{SourceTable, TableRepo}
   *
   * Discovery runs in Spark. After it one job collects S and every
   * candidate ([[KeyedRows.collect]]): a keyed one only with rows carrying
-  * a source key, a keyless one whole. Expand, matrix traversal and
+  * a source key, a keyless one only with rows that a chain of joins links
+  * to those ([[Operators.reaching]]). Expand, matrix traversal and
   * integration run on the driver, and the reclaimed table is a local
   * DataFrame of their rows.
   */
@@ -58,10 +59,11 @@ object GenT {
 
     // Select early: every table Gen-T keeps needs only rows aligned to the
     // source keys, so a keyed candidate brings only those (a semi-join in
-    // Spark); a keyless one comes whole, as Expand joins through its rows.
-    // One job brings them and S to the driver, where the rest runs.
-    val (src, rows) = KeyedRows.collect(source,
-      candidates.map(c => Operators.selectSourceKeys(SetSimilarity.renamed(repo, c), source)))
+    // Spark), a keyless one only rows Expand's joins can link to them. One
+    // job brings them and S to the driver, where the rest runs.
+    val (src, rows) = KeyedRows.collect(source, Operators.reaching(
+      candidates.map(c => Operators.selectSourceKeys(SetSimilarity.renamed(repo, c), source)),
+      source.keys))
 
     // --- Expand (Algorithm 5): give every candidate the source key.
     val tables = Expand.expandAll(candidates.map(_.table).zip(rows), src)

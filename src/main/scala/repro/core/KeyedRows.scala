@@ -12,7 +12,8 @@ import repro.lake.SourceTable
   * [[collect]] brings the source and every candidate to the driver in one
   * Spark job: a candidate with the source key only with rows carrying one
   * of the source's keys, so bounded by |S| times the rows a lake table has
-  * per key; a keyless one whole, since Expand joins through its rows.
+  * per key; a keyless one only with rows that a chain of joins links to
+  * those, the rows Expand's joins can match.
   * Expand, [[projectSelect]], matrix initialization, traversal and every
   * step of Algorithm 2 then run here over string rows (null = ⊥), every
   * table after ProjectSelect holding only rows with a source key (q15's

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.annotation.tailrec
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.lake.SourceTable
@@ -51,6 +52,35 @@ object Operators {
       val sk = source.df.select(source.keys.map(col): _*).distinct()
       df.join(sk, source.keys, "left_semi")
     }
+
+  /** `frames`, each one lacking a column of `keys` restricted to the rows
+    * a chain of equi-joins on shared columns links to a row of a frame with
+    * every key: level by level, a frame keeps its rows that share a value
+    * with the previous level's kept rows in a column they share (a bag; a
+    * null matches nothing). A frame no chain reaches keeps no row.
+    */
+  def reaching(frames: Seq[DataFrame], keys: Seq[String]): Seq[DataFrame] = {
+    def shares(df: DataFrame, level: Seq[DataFrame], c: String) =
+      df.columns.contains(c) && level.exists(_.columns.contains(c))
+    // A left outer join per shared column, then a filter: duplicates stay.
+    def joinable(df: DataFrame, level: Seq[DataFrame]): DataFrame = {
+      val on = df.columns.toIndexedSeq.filter(shares(df, level, _))
+      on.indices.foldLeft(df) { (acc, i) =>
+        val values = level.filter(_.columns.contains(on(i))).map(_.select(col(on(i)).as(s"__hit$i")))
+        acc.join(values.reduce(_ union _).distinct(), col(on(i)) === col(s"__hit$i"), "left_outer")
+      }.filter(on.indices.map(i => col(s"__hit$i").isNotNull).reduce(_ || _))
+        .select(df.columns.toIndexedSeq.map(col): _*)
+    }
+    @tailrec def kept(
+        level: Seq[DataFrame], rest: Seq[Int], done: Map[Int, DataFrame]): Map[Int, DataFrame] = {
+      val next = rest.filter(i => frames(i).columns.exists(shares(frames(i), level, _)))
+        .map(i => i -> joinable(frames(i), level))
+      if (next.isEmpty) done else kept(next.map(_._2), rest.diff(next.map(_._1)), done ++ next)
+    }
+    val (keyed, keyless) = frames.indices.partition(i => keys.forall(frames(i).columns.contains))
+    val done = kept(keyed.map(frames), keyless, keyed.map(i => i -> frames(i)).toMap)
+    frames.indices.map(i => done.getOrElse(i, frames(i).filter(lit(false))))
+  }
 
   /** ProjectSelect of Algorithm 2, line 3. */
   def projectSelect(df: DataFrame, source: SourceTable): DataFrame =

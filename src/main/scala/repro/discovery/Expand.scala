@@ -1,5 +1,7 @@
 package repro.discovery
 
+import scala.collection.mutable
+import repro.core.KeyedRows
 import repro.core.KeyedRows.{Source, Table}
 
 /** Expand (paper Algorithm 5, Appendix C), on the driver.
@@ -10,8 +12,8 @@ import repro.core.KeyedRows.{Source, Table}
   * a (renamed) column, weighted by [[weights]] — for the maximum-weight
   * path (DFS, as in the paper) ending at a candidate that does contain
   * the key, and join the tables along the path ([[joinCoalesce]]). Gen-T
-  * runs it over the rows of its one collect: keyed candidates restricted
-  * to S's keys, keyless ones whole.
+  * runs it over the rows of its one collect: keyed candidates restricted to
+  * S's keys, keyless ones to rows joinable to those (`Operators.reaching`).
   */
 object Expand {
 
@@ -26,13 +28,17 @@ object Expand {
     * on every shared column would be too strict for lake tables: a null
     * on either side of a secondary shared column must not drop the row.
     * A bag: each row of `l`, in order, once per row of `r` with its `on`
-    * value (in `r`'s order); a null `on` cell matches nothing.
+    * value (in `r`'s order); a null `on` cell matches nothing. Fails if the
+    * join holds more than [[KeyedRows.MaxRows]] rows.
     */
   def joinCoalesce(l: Table, r: Table, on: String): Table = {
     val (li, ri) = (l.columns.indexOf(on), r.columns.indexOf(on))
     val fill = l.columns.map(r.columns.indexOf)
     val rest = r.columns.indices.filterNot(i => l.columns.contains(r.columns(i)))
     val byKey = r.rows.groupBy(_(ri))
+    val n = l.rows.iterator.filter(_(li) != null).map(a => byKey.get(a(li)).fold(0L)(_.size)).sum
+    if (n > KeyedRows.MaxRows)
+      throw new IllegalStateException(s"joining on $on gives $n rows: more than ${KeyedRows.MaxRows}")
     Table(l.columns ++ rest.map(r.columns), for {
       a <- l.rows if a(li) != null
       b <- byKey.getOrElse(a(li), Nil)
@@ -44,17 +50,17 @@ object Expand {
     * min(|a.c|, |b.c|) over the column's distinct non-null values.
     * Columns whose values do not overlap are left out.
     */
-  def weights(a: Table, b: Table): Map[String, Double] = {
-    def values(t: Table, c: String): Set[String] = {
-      val i = t.columns.indexOf(c)
-      t.rows.iterator.map(_(i)).filter(_ != null).toSet
-    }
-    a.columns.filter(b.columns.contains).flatMap { c =>
-      val (x, y) = (values(a, c), values(b, c))
-      val m = x.count(y)
-      if (m == 0) None else Some(c -> m.toDouble / math.min(x.size, y.size))
+  def weights(a: Table, b: Table): Map[String, Double] = weights(values(a), values(b))
+
+  /** Each column's distinct non-null values. */
+  private def values(t: Table): Map[String, Set[String]] =
+    t.columns.indices.map(i => t.columns(i) -> t.rows.iterator.map(_(i)).filter(_ != null).toSet).toMap
+
+  private def weights(a: Map[String, Set[String]], b: Map[String, Set[String]]): Map[String, Double] =
+    a.keys.filter(b.contains).flatMap { c =>
+      val m = a(c).count(b(c))
+      if (m == 0) None else Some(c -> m.toDouble / math.min(a(c).size, b(c).size))
     }.toMap
-  }
 
   /** Expand every candidate so each output table contains the key.
     *
@@ -75,12 +81,11 @@ object Expand {
     val byName = tables.toMap
     val names = tables.map(_._1)
 
-    // Only keyless candidates read the weights, each pair once.
-    lazy val pairWeights: Map[(String, String), Map[String, Double]] =
-      names.combinations(2).map { case Seq(a, b) => (a, b) -> weights(byName(a), byName(b)) }.toMap
-
+    // Only a keyless candidate's pairs are weighed, each once.
+    lazy val tableValues = tables.map { case (n, t) => n -> values(t) }.toMap
+    val pairWeights = mutable.Map[Set[String], Map[String, Double]]()
     def colWeights(a: String, b: String): Map[String, Double] =
-      pairWeights.getOrElse((a, b), pairWeights.getOrElse((b, a), Map.empty))
+      pairWeights.getOrElseUpdate(Set(a, b), weights(tableValues(a), tableValues(b)))
 
     def joinColumn(a: String, b: String): String =
       colWeights(a, b).toSeq.minBy { case (c, w) => (-w, source.table.columns.indexOf(c)) }._1
@@ -97,11 +102,11 @@ object Expand {
     // would tie the candidate to one (possibly incomplete) keyed table,
     // while alternative keyed versions can cover the tuples it misses.
     def bestPaths(start: String): Seq[Seq[String]] = {
-      val nodeWeights = scala.collection.mutable.Map[String, Double](start -> 0.0)
-      val parent = scala.collection.mutable.Map[String, String]()
-      val visited = scala.collection.mutable.Set[String](start)
-      val ends = scala.collection.mutable.Map[String, Double]()
-      val stack = scala.collection.mutable.Stack[String](start)
+      val nodeWeights = mutable.Map[String, Double](start -> 0.0)
+      val parent = mutable.Map[String, String]()
+      val visited = mutable.Set[String](start)
+      val ends = mutable.Map[String, Double]()
+      val stack = mutable.Stack[String](start)
       while (stack.nonEmpty) {
         val node = stack.pop()
         for ((child, w) <- neighbours(node) if !visited.contains(child)) {
@@ -123,7 +128,7 @@ object Expand {
         }
       }
       ends.toSeq.sortBy { case (e, w) => (-w, e) }.take(maxPaths).map { case (end, _) =>
-        val path = scala.collection.mutable.ListBuffer[String](end)
+        val path = mutable.ListBuffer[String](end)
         var cur = end
         while (parent.contains(cur)) { cur = parent(cur); path.prepend(cur) }
         path.toSeq

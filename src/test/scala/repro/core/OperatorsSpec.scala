@@ -78,6 +78,37 @@ class OperatorsSpec extends SparkSpec {
     assert(Operators.selectSourceKeys(t, src).count() == 1)
   }
 
+  test("reaching keeps the keyless rows sharing a value with a keyed frame — against DuckDB") {
+    // a is shared with both keyed frames, b with k2 only, z with neither;
+    // the duplicate row stays twice and null cells match nothing.
+    val t = df(Seq("a", "b", "z"), Seq(
+      Seq("1", "x", "p"), Seq("1", "x", "p"), Seq("2", "y", "q"),
+      Seq(N, "w", "r"), Seq("9", N, "s"), Seq("8", "v", "1"), Seq(N, N, "0")))
+    val k1 = df(Seq("k", "a"), Seq(Seq("0", "1"), Seq("0", N)))
+    val k2 = df(Seq("k", "b", "a"), Seq(Seq("0", "w", "7"), Seq("1", "y", N)))
+    val Seq(r1, rt, r2) = Operators.reaching(Seq(k1, t, k2), Seq("k"))
+    assert(r1 == k1 && r2 == k2)
+    Oracle.assertEquivalent(rt,
+      "SELECT * FROM t WHERE a IN (SELECT a FROM k1 UNION SELECT a FROM k2) " +
+        "OR b IN (SELECT b FROM k2)",
+      "t" -> t, "k1" -> k1, "k2" -> k2)
+  }
+
+  test("reaching follows a chain of keyless frames and drops the unreached — against DuckDB") {
+    // l2 shares no column with the keyed frame, only c with l1; u shares
+    // nothing.
+    val k = df(Seq("k", "a"), Seq(Seq("0", "1")))
+    val l1 = df(Seq("a", "c"), Seq(Seq("1", "x"), Seq("2", "y")))
+    val l2 = df(Seq("c", "d"), Seq(Seq("x", "p"), Seq("y", "q"), Seq(N, "r"), Seq("x", "s")))
+    val u = df(Seq("e"), Seq(Seq("1")))
+    val Seq(r2, _, _, ru) = Operators.reaching(Seq(l2, l1, k, u), Seq("k"))
+    Oracle.assertEquivalent(r2,
+      "SELECT * FROM l2 WHERE c IN (SELECT c FROM l1 WHERE a IN (SELECT a FROM k))",
+      "l2" -> l2, "l1" -> l1, "k" -> k)
+    assert(ru.count() == 0)
+    assert(Operators.reaching(Seq(u), Seq("k")).head.count() == 0)
+  }
+
   // -------------------------------------------------- inner union groups
 
   test("innerUnionGroups unions only same-schema tables") {

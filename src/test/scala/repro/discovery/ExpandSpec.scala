@@ -59,6 +59,13 @@ class ExpandSpec extends SparkSpec {
     assert(cell(j, brown, "Education") == "Masters")
   }
 
+  test("joinCoalesce fails above the driver-side bound before building a row") {
+    val l = Table(IndexedSeq("k", "a"), Seq.fill(1001)(Seq("1", "x")))
+    val r = Table(IndexedSeq("k", "b"), Seq.fill(1000)(Seq("1", "y")) :+ Seq(N, "z"))
+    val e = intercept[IllegalStateException](Expand.joinCoalesce(l, r, "k"))
+    assert(e.getMessage.contains("1001000 rows"))
+  }
+
   test("path of length three reaches the key through an intermediate table") {
     val a = Table(Vector("ID", "X"), Seq(Seq("0", "x0"), Seq("1", "x1")))
     val mid = Table(Vector("X", "Y"), Seq(Seq("x0", "y0"), Seq("x1", "y1")))
