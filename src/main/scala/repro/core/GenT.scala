@@ -9,12 +9,14 @@ import repro.lake.{SourceTable, TableRepo}
   * Expand (key coverage) → Matrix Traversal (originating-table pruning) →
   * Table Integration (Algorithm 2) → reclaimed source table.
   *
-  * Discovery runs in Spark. After it one job collects S and every
-  * candidate ([[KeyedRows.collect]]): a keyed one only with rows carrying
-  * a source key, a keyless one only with rows that a chain of joins links
-  * to those ([[Operators.reaching]]). Expand, matrix traversal and
-  * integration run on the driver, and the reclaimed table is a local
-  * DataFrame of their rows.
+  * Discovery runs in Spark. A keyed candidate comes out of it with its
+  * rows carrying a source key, which Set Similarity's verification
+  * collected ([[SetSimilarity.Candidate]]'s `aligned`); no keyed candidate
+  * is read again. S and the keyless candidates, restricted to the rows a
+  * chain of joins links to those ([[Operators.reaching]]), come in one
+  * Spark job per chain level (one on every TP-TR Small source). Expand,
+  * matrix traversal and integration run on the driver, and the reclaimed
+  * table is a local DataFrame of their rows.
   */
 object GenT {
 
@@ -58,15 +60,16 @@ object GenT {
     if (candidates.isEmpty) return result(source.df.limit(0), Seq.empty)
 
     // Select early: every table Gen-T keeps needs only rows aligned to the
-    // source keys, so a keyed candidate brings only those (a semi-join in
-    // Spark), a keyless one only rows Expand's joins can link to them. One
-    // job brings them and S to the driver, where the rest runs.
-    val (src, rows) = KeyedRows.collect(source, Operators.reaching(
-      candidates.map(c => Operators.selectSourceKeys(SetSimilarity.renamed(repo, c), source)),
-      source.keys))
+    // source keys. A keyed candidate carries exactly those from Set
+    // Similarity's verification; a keyless one reads only the rows Expand's
+    // joins can link to them, in one job per chain level, S with the first.
+    val (keyed, keyless) = candidates.partition(c => source.keys.forall(c.mapping.values.toSet))
+    val (src, reached) = Operators.reaching(
+      source, keyed.map(_.aligned), keyless.map(SetSimilarity.renamed(repo, _)))
+    val rows = (keyed.map(c => c.table -> c.aligned) ++ keyless.map(_.table).zip(reached)).toMap
 
     // --- Expand (Algorithm 5): give every candidate the source key.
-    val tables = Expand.expandAll(candidates.map(_.table).zip(rows), src)
+    val tables = Expand.expandAll(candidates.map(c => c.table -> rows(c.table)), src)
       .map(e => e.name -> KeyedRows.projectSelect(e.table, src))
     if (tables.isEmpty) return result(source.df.limit(0), Seq.empty)
 

@@ -9,11 +9,11 @@ import repro.lake.SourceTable
 
 /** The driver-side keyed-row kernel that runs Gen-T after discovery.
   *
-  * [[collect]] brings the source and every candidate to the driver in one
-  * Spark job: a candidate with the source key only with rows carrying one
-  * of the source's keys, so bounded by |S| times the rows a lake table has
-  * per key; a keyless one only with rows that a chain of joins links to
-  * those, the rows Expand's joins can match.
+  * Gen-T's candidates reach the driver as [[Table]]s: one with the source
+  * key as the rows Set Similarity's verification collected, those carrying
+  * one of the source's keys, so bounded by |S| times the rows a lake table
+  * has per key; a keyless one as the rows a chain of joins links to those,
+  * the rows Expand's joins can match ([[Operators.reaching]]).
   * Expand, [[projectSelect]], matrix initialization, traversal and every
   * step of Algorithm 2 then run here over string rows (null = ⊥), every
   * table after ProjectSelect holding only rows with a source key (q15's

@@ -9,9 +9,9 @@ import repro.lake.SourceTable
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
   * Complementation (κ).
   *
-  * The DataFrame operators here (⊎, π, σ) serve the semi-join of Gen-T's
-  * one collect, ALITE-PS's ProjectSelect and the outer union that [[Fd]]
-  * collects.
+  * The DataFrame operators here (⊎, π, σ) serve ALITE-PS's ProjectSelect
+  * and the outer union that [[Fd]] collects; [[reaching]] reads Gen-T's
+  * keyless candidates.
   * β and κ are pairwise tuple operators: two tuples can only subsume or
   * complement each other if they agree on every attribute where both are
   * non-null, so once every tuple carries a non-null source-key value
@@ -53,33 +53,47 @@ object Operators {
       df.join(sk, source.keys, "left_semi")
     }
 
-  /** `frames`, each one lacking a column of `keys` restricted to the rows
-    * a chain of equi-joins on shared columns links to a row of a frame with
-    * every key: level by level, a frame keeps its rows that share a value
-    * with the previous level's kept rows in a column they share (a bag; a
-    * null matches nothing). A frame no chain reaches keeps no row.
+  /** `source` and `frames` on the driver, each frame restricted to the
+    * rows a chain of equi-joins on shared columns links to a row of
+    * `keyed`, the tables with S's key already on the driver (level 0).
+    * Level by level, a frame sharing a column with the previous level keeps
+    * its rows holding one of that level's distinct non-null values in a
+    * shared column (an `isin` per column, OR'd): a bag, and a null matches
+    * nothing. One Spark job per level collects its frames, S with the
+    * first; a frame no chain reaches is read by none and keeps no row.
     */
-  def reaching(frames: Seq[DataFrame], keys: Seq[String]): Seq[DataFrame] = {
-    def shares(df: DataFrame, level: Seq[DataFrame], c: String) =
-      df.columns.contains(c) && level.exists(_.columns.contains(c))
-    // A left outer join per shared column, then a filter: duplicates stay.
-    def joinable(df: DataFrame, level: Seq[DataFrame]): DataFrame = {
-      val on = df.columns.toIndexedSeq.filter(shares(df, level, _))
-      on.indices.foldLeft(df) { (acc, i) =>
-        val values = level.filter(_.columns.contains(on(i))).map(_.select(col(on(i)).as(s"__hit$i")))
-        acc.join(values.reduce(_ union _).distinct(), col(on(i)) === col(s"__hit$i"), "left_outer")
-      }.filter(on.indices.map(i => col(s"__hit$i").isNotNull).reduce(_ || _))
-        .select(df.columns.toIndexedSeq.map(col): _*)
+  def reaching(
+      source: SourceTable,
+      keyed: Seq[KeyedRows.Table],
+      frames: Seq[DataFrame]): (KeyedRows.Source, Seq[KeyedRows.Table]) = {
+    def shared(i: Int, level: Seq[KeyedRows.Table]) =
+      frames(i).columns.toIndexedSeq.filter(c => level.exists(_.columns.contains(c)))
+    def values(level: Seq[KeyedRows.Table], c: String): Seq[String] =
+      level.flatMap(t => t.columns.indexOf(c) match {
+        case -1 => Nil
+        case i => t.rows.map(_(i))
+      }).filter(_ != null).distinct
+    // The frames of `rest` that `level` reaches, and the rows each one reads.
+    def next(level: Seq[KeyedRows.Table], rest: Seq[Int]): (Seq[Int], Seq[DataFrame]) = {
+      val reached = rest.filter(shared(_, level).nonEmpty)
+      reached -> reached.map(i =>
+        frames(i).where(shared(i, level).map(c => col(c).isin(values(level, c): _*)).reduce(_ || _)))
     }
     @tailrec def kept(
-        level: Seq[DataFrame], rest: Seq[Int], done: Map[Int, DataFrame]): Map[Int, DataFrame] = {
-      val next = rest.filter(i => frames(i).columns.exists(shares(frames(i), level, _)))
-        .map(i => i -> joinable(frames(i), level))
-      if (next.isEmpty) done else kept(next.map(_._2), rest.diff(next.map(_._1)), done ++ next)
+        level: Seq[KeyedRows.Table], rest: Seq[Int],
+        done: Map[Int, KeyedRows.Table]): Map[Int, KeyedRows.Table] = {
+      val (reached, reads) = next(level, rest)
+      if (reached.isEmpty) done
+      else {
+        val rows = KeyedRows.collectRows(reads, s"a chain level of source ${source.name}")
+        kept(rows, rest.diff(reached), done ++ reached.zip(rows))
+      }
     }
-    val (keyed, keyless) = frames.indices.partition(i => keys.forall(frames(i).columns.contains))
-    val done = kept(keyed.map(frames), keyless, keyed.map(i => i -> frames(i)).toMap)
-    frames.indices.map(i => done.getOrElse(i, frames(i).filter(lit(false))))
+    val (first, reads) = next(keyed, frames.indices)
+    val rows = KeyedRows.collectRows(source.df +: reads, s"source ${source.name}")
+    val done = kept(rows.tail, frames.indices.diff(first), first.zip(rows.tail).toMap)
+    (KeyedRows.Source(rows.head, source.keys), frames.indices.map(i =>
+      done.getOrElse(i, KeyedRows.Table(frames(i).columns.toIndexedSeq, Seq.empty))))
   }
 
   /** ProjectSelect of Algorithm 2, line 3. */

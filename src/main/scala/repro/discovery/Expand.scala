@@ -12,8 +12,9 @@ import repro.core.KeyedRows.{Source, Table}
   * a (renamed) column, weighted by [[weights]] — for the maximum-weight
   * path (DFS, as in the paper) ending at a candidate that does contain
   * the key, and join the tables along the path ([[joinCoalesce]]). Gen-T
-  * runs it over the rows of its one collect: keyed candidates restricted to
-  * S's keys, keyless ones to rows joinable to those (`Operators.reaching`).
+  * runs it over keyed candidates' rows with one of S's keys, which Set
+  * Similarity carries, and keyless ones' rows joinable to those, which
+  * `Operators.reaching` collects.
   */
 object Expand {
 

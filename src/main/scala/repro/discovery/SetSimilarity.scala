@@ -21,7 +21,10 @@ import repro.lake.{LakeIndex, SourceTable, TableRepo}
   *   4. per verification batch, one collect of the batch tables' rows that
   *      align with S under any mapping their repair rounds can try.
   * Verification, its repair rounds and the duplicate check then run on the
-  * driver over those rows. Only candidates whose aligned rows tie with
+  * driver over those rows. Each candidate keeps the rows its mapping
+  * aligns (`Candidate.aligned`): for one that maps every key column, the
+  * rows with one of S's keys that Gen-T reclaims from without reading the
+  * table again. Only candidates whose aligned rows tie with
   * another's need a content signature, one more job for all of them. The
   * orchestration (greedy column mapping, Diversify's ranking, the top-k
   * cut) runs on the driver over the small aggregate results.
@@ -33,8 +36,15 @@ object SetSimilarity {
     * @param mapping  lake column → source column (injective both ways)
     * @param score    average diversified overlap score across mapped
     *                 source columns (Algorithm 3, line 9)
+    * @param aligned  the candidate's renamed rows that verification aligned
+    *                 with S, on its source columns in name order. When the
+    *                 mapping covers every key column the anchor is S's key,
+    *                 so these are exactly the rows carrying one of S's keys
+    *                 (the semi-join [[repro.core.Operators.selectSourceKeys]]
+    *                 of [[renamed]]), which Gen-T reclaims from
     */
-  final case class Candidate(table: String, mapping: Map[String, String], score: Double)
+  final case class Candidate(
+      table: String, mapping: Map[String, String], score: Double, aligned: KeyedRows.Table)
 
   final case class Config(tau: Double = 0.2, topK: Int = 10)
 
@@ -220,14 +230,12 @@ object SetSimilarity {
     if (!confirmed) Map.empty else (passing ++ ch.anchorPairs).toMap
   }
 
-  /** A verified table: its surviving mapping, and a key that every
-    * duplicate of it shares: the mapped source columns and the multiset of
-    * its renamed rows aligned on its anchor. Tables with equal renamed
-    * content have equal keys, since the anchor depends only on the mapped
-    * source columns.
+  /** A key that every duplicate of `c` shares: its source columns and the
+    * multiset of its aligned rows. Tables with equal renamed content have
+    * equal keys, since the anchor depends only on the mapped source columns.
     */
-  private final case class Verified(
-      mapping: Map[String, String], dedupKey: (Set[String], Map[Seq[String], Int]))
+  private def dedupKey(c: Candidate): (Set[String], Map[Seq[String], Int]) =
+    (c.aligned.columns.toSet, c.aligned.rows.groupMapReduce(identity)(_ => 1)(_ + _))
 
   /** Verify a batch of ranked tables, repairing crossed column assignments.
     * Anchor confirmed by at least one above-chance column → accept
@@ -240,14 +248,17 @@ object SetSimilarity {
     * Every table's rounds are known in advance ([[repairChain]]), so one
     * Spark job collects the rows each table aligns under any of them, on
     * the lake columns any of them maps; the rounds then run on the driver.
+    * An accepted table's candidate carries its rows aligned under the
+    * accepting round, on the surviving mapping.
     */
   private def verifyBatch(
       repo: TableRepo,
       tables: Seq[String],
       tableTriples: Map[String, Seq[(String, String, Double, Long)]],
+      tableScores: Map[String, Double],
       src: KeyedRows.Source,
       sizes: Map[String, Int],
-      cfg: Config): Map[String, Verified] = {
+      cfg: Config): Map[String, Candidate] = {
     // A check with no column to verify confirms nothing, so it reads no rows.
     val chains = tables.map(t => t -> repairChain(tableTriples(t), src, sizes, cfg)
       .filter(_.checkCols.nonEmpty)).filter(_._2.nonEmpty)
@@ -259,9 +270,10 @@ object SetSimilarity {
     chains.zip(rows).flatMap { case ((t, chain), lake) =>
       chain.iterator.map(ch => (ch, surviving(ch, lake, sizes, cfg)))
         .collectFirst { case (ch, kept) if kept.size >= 2 =>
-          val renamed = kept.toSeq.sortBy(_._2).map { case (c, _) => lake.columns.indexOf(c) }
-          val alignedRows = aligned(ch, lake).map { case (_, r) => renamed.map(r) }
-          t -> Verified(kept, (kept.values.toSet, alignedRows.groupMapReduce(identity)(_ => 1)(_ + _)))
+          val cols = kept.toSeq.sortBy(_._2)
+          val pos = cols.map { case (c, _) => lake.columns.indexOf(c) }
+          t -> Candidate(t, kept, tableScores(t), KeyedRows.Table(cols.map(_._2).toIndexedSeq,
+            aligned(ch, lake).map { case (_, r) => pos.map(r) }))
         }
     }.toMap
   }
@@ -381,14 +393,13 @@ object SetSimilarity {
     // overlap is coincidental die here. A batch is the next
     // `wanted − verified` tables: each adds at most one candidate, so the
     // batches attempt exactly the tables a one-by-one walk would.
-    val verified = scala.collection.mutable.ArrayBuffer[(Candidate, Verified)]()
+    val verified = scala.collection.mutable.ArrayBuffer[Candidate]()
     val wanted = cfg.topK + 4 // headroom for the duplicate removal below
     var toAttempt = ranked.take(cfg.topK * 8)
     while (toAttempt.nonEmpty && verified.size < wanted) {
       val (batch, rest) = toAttempt.splitAt(wanted - verified.size)
-      val accepted = verifyBatch(repo, batch, tableTriples, src, sizes, cfg)
-      batch.foreach(t => accepted.get(t).foreach(v =>
-        verified += (Candidate(t, v.mapping, tableScores(t)) -> v)))
+      val accepted = verifyBatch(repo, batch, tableTriples, tableScores, src, sizes, cfg)
+      verified ++= batch.flatMap(accepted.get)
       toAttempt = rest
     }
 
@@ -400,11 +411,10 @@ object SetSimilarity {
     // row-level content instead (see DESIGN.md). Duplicates share a dedup
     // key, so only candidates whose key ties with another's need the
     // content signature (one Spark job for all of them, none without ties).
-    val keyCounts = verified.groupMapReduce(_._2.dedupKey)(_ => 1)(_ + _)
-    val signatures = contentSignatures(repo,
-      verified.collect { case (c, v) if keyCounts(v.dedupKey) > 1 => c }.toSeq)
+    val keyCounts = verified.groupMapReduce(dedupKey)(_ => 1)(_ + _)
+    val signatures = contentSignatures(repo, verified.filter(c => keyCounts(dedupKey(c)) > 1).toSeq)
     val seen = scala.collection.mutable.Set[(Set[String], Long, String)]()
-    val deduped = verified.map(_._1).filter(c => signatures.get(c.table).forall(seen.add))
+    val deduped = verified.filter(c => signatures.get(c.table).forall(seen.add))
     deduped.take(cfg.topK).toSeq
   }
 

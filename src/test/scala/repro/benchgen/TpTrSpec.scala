@@ -3,7 +3,7 @@ package repro.benchgen
 import java.nio.file.Files
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{GenT, Metrics}
-import repro.discovery.SetSimilarity
+import repro.discovery.{SetSimilarity, SetSimilaritySpec}
 import repro.lake.Lake
 
 /** TP-TR benchmark generator + a Small-scale end-to-end Gen-T smoke test. */
@@ -136,6 +136,16 @@ class TpTrSpec extends SparkSpec {
       got.zip(want).foreach { case (c, (_, _, score)) =>
         assert(math.abs(c.score - score) <= 1e-12, s"$name ${c.table}: ${c.score} vs $score")
       }
+    }
+  }
+
+  test("Set Similarity carries each keyed candidate's rows with one of S's keys") {
+    pinnedCandidates.foreach { case (name, _) =>
+      val src = bench.sources.find(_.name == name).get
+      val keyed = SetSimilaritySpec.keyed(
+        SetSimilarity.findCandidates(bench.repo, bench.index, src, spark), src)
+      assert(keyed.nonEmpty, name)
+      assert(SetSimilaritySpec.carriedMismatches(bench.repo, keyed, src).isEmpty, name)
     }
   }
 

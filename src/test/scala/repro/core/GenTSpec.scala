@@ -1,8 +1,10 @@
 package repro.core
 
+import java.io.File
 import java.nio.file.Files
+import org.apache.commons.io.FileUtils
 import repro.{Fixtures, JobCounter, SparkSpec}
-import repro.discovery.SetSimilarity
+import repro.discovery.{SetSimilarity, SetSimilaritySpec}
 import repro.lake.{LakeIndex, TableRepo}
 
 /** Gen-T end to end on the Figure 3 lake. */
@@ -78,14 +80,17 @@ class GenTSpec extends SparkSpec {
       "D" -> Fixtures.tableD(spark),
       "AB" -> idName.join(Fixtures.tableB(spark), "Name"),
       "AD" -> idName.join(Fixtures.tableD(spark), "Name")))
-    def cand(name: String) = SetSimilarity.Candidate(
-      name, jobsRepo.read(name).columns.map(c => c -> c).toMap, 1.0)
+    def cand(name: String) = {
+      val c = SetSimilarity.Candidate(
+        name, jobsRepo.read(name).columns.map(c => c -> c).toMap, 1.0, KeyedRows.Table(Vector(), Nil))
+      c.copy(aligned = SetSimilaritySpec.carried(jobsRepo, c, source))
+    }
     // Jobs as the benchmark runs them: without adaptive execution, which
     // submits one job per query stage.
     val aqe = spark.conf.get("spark.sql.adaptive.enabled")
     spark.conf.set("spark.sql.adaptive.enabled", "false")
     def run(names: String*): (GenT.Result, Int) = {
-      val cands = names.map(cand) // opening a table is a job of its own
+      val cands = names.map(cand) // opening and reading a table are jobs of their own
       JobCounter(spark)(GenT.reclaimFromCandidates(jobsRepo, cands, source, spark))
     }
     try {
@@ -99,5 +104,23 @@ class GenTSpec extends SparkSpec {
       assert(expandedJobs == 1, "one collect")
       assert(keyed.reclaimed.collect().toSet == source.df.collect().toSet)
     } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
+  }
+
+  test("reclaimFromCandidates reads no keyed candidate from the lake") {
+    val root = Files.createTempDirectory("gent-carried").toString
+    val lake = TableRepo.create(root, spark, Map(
+      "A" -> Fixtures.tableA(spark),
+      "B" -> Fixtures.tableB(spark),
+      "C" -> Fixtures.tableC(spark),
+      "D" -> Fixtures.tableD(spark)))
+    val cands = SetSimilarity.findCandidates(lake, LakeIndex.build(lake, spark), source, spark)
+    val before = GenT.reclaimFromCandidates(lake, cands, source, spark)
+    val keyed = SetSimilaritySpec.keyed(cands, source)
+    assert(keyed.map(_.table) == Seq("A"))
+    keyed.foreach(c => FileUtils.deleteDirectory(new File(new File(root, "tables"), c.table)))
+    val after = GenT.reclaimFromCandidates(lake, cands, source, spark)
+    assert(after.originating == before.originating)
+    def bag(r: GenT.Result) = r.reclaimed.collect().toSeq.groupMapReduce(identity)(_ => 1)(_ + _)
+    assert(bag(after) == bag(before))
   }
 }

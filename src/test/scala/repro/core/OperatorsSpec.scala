@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, Oracle, SparkSpec}
+import repro.{Fixtures, JobCounter, Oracle, SparkSpec}
 import repro.lake.SourceTable
 
 /** Integration operators (§IV-B) + Theorem 8's representative-operator
@@ -78,35 +78,70 @@ class OperatorsSpec extends SparkSpec {
     assert(Operators.selectSourceKeys(t, src).count() == 1)
   }
 
+  // reaching's level 0 is driver tables; the DuckDB references read them
+  // as DataFrames. S is a one-row table keyed on k.
+  private def reachSource = SourceTable("s", df(Seq("k"), Seq(Seq("0"))), Seq("k"))
+  private def local(t: KeyedRows.Table) = KeyedRows.toDf(t, spark)
+
+  /** A frame on `cols` whose every read fails. */
+  private def unreadable(cols: String*) = {
+    val boom = udf((v: String) => if (v != null) throw new IllegalStateException("read") else v)
+    df(cols, Seq(cols.map(_ => "1"))).select(cols.map(c => boom(col(c)).as(c)): _*)
+  }
+
   test("reaching keeps the keyless rows sharing a value with a keyed frame — against DuckDB") {
-    // a is shared with both keyed frames, b with k2 only, z with neither;
-    // the duplicate row stays twice and null cells match nothing.
+    // a is shared with both keyed tables, b with k2 only, z with neither;
+    // the duplicate row stays twice and null cells match nothing, in the
+    // frame and in level 0, whose duplicate values count once. Level 0
+    // holds no value of n, so the frame n reads no row.
     val t = df(Seq("a", "b", "z"), Seq(
       Seq("1", "x", "p"), Seq("1", "x", "p"), Seq("2", "y", "q"),
       Seq(N, "w", "r"), Seq("9", N, "s"), Seq("8", "v", "1"), Seq(N, N, "0")))
-    val k1 = df(Seq("k", "a"), Seq(Seq("0", "1"), Seq("0", N)))
-    val k2 = df(Seq("k", "b", "a"), Seq(Seq("0", "w", "7"), Seq("1", "y", N)))
-    val Seq(r1, rt, r2) = Operators.reaching(Seq(k1, t, k2), Seq("k"))
-    assert(r1 == k1 && r2 == k2)
-    Oracle.assertEquivalent(rt,
+    val k1 = tbl(Seq("k", "a", "n"), Seq(Seq("0", "1", N), Seq("0", N, N), Seq("1", "1", N)))
+    val k2 = tbl(Seq("k", "b", "a"), Seq(Seq("0", "w", "7"), Seq("1", "y", N), Seq("2", "w", N)))
+    val n = df(Seq("n"), Seq(Seq("1"), Seq(N)))
+    val (src, Seq(rt, rn)) = Operators.reaching(reachSource, Seq(k1, k2), Seq(t, n))
+    assert(src.table.rows == Seq(Seq("0")) && src.keys == Seq("k"))
+    assert(rn == KeyedRows.Table(Vector("n"), Seq.empty))
+    assert(rt.columns == Seq("a", "b", "z"))
+    Oracle.assertEquivalent(local(rt),
       "SELECT * FROM t WHERE a IN (SELECT a FROM k1 UNION SELECT a FROM k2) " +
         "OR b IN (SELECT b FROM k2)",
-      "t" -> t, "k1" -> k1, "k2" -> k2)
+      "t" -> t, "k1" -> local(k1), "k2" -> local(k2))
   }
 
   test("reaching follows a chain of keyless frames and drops the unreached — against DuckDB") {
-    // l2 shares no column with the keyed frame, only c with l1; u shares
-    // nothing.
-    val k = df(Seq("k", "a"), Seq(Seq("0", "1")))
+    // l2 shares no column with the keyed table, only c with l1; the frame
+    // on e shares nothing and is never read.
+    val k = tbl(Seq("k", "a"), Seq(Seq("0", "1")))
     val l1 = df(Seq("a", "c"), Seq(Seq("1", "x"), Seq("2", "y")))
     val l2 = df(Seq("c", "d"), Seq(Seq("x", "p"), Seq("y", "q"), Seq(N, "r"), Seq("x", "s")))
-    val u = df(Seq("e"), Seq(Seq("1")))
-    val Seq(r2, _, _, ru) = Operators.reaching(Seq(l2, l1, k, u), Seq("k"))
-    Oracle.assertEquivalent(r2,
+    val (_, Seq(r2, _, ru)) = Operators.reaching(reachSource, Seq(k), Seq(l2, l1, unreadable("e")))
+    Oracle.assertEquivalent(local(r2),
       "SELECT * FROM l2 WHERE c IN (SELECT c FROM l1 WHERE a IN (SELECT a FROM k))",
-      "l2" -> l2, "l1" -> l1, "k" -> k)
-    assert(ru.count() == 0)
-    assert(Operators.reaching(Seq(u), Seq("k")).head.count() == 0)
+      "l2" -> l2, "l1" -> l1, "k" -> local(k))
+    assert(ru == KeyedRows.Table(Vector("e"), Seq.empty))
+    val (src, Seq(alone)) = Operators.reaching(reachSource, Seq.empty, Seq(unreadable("e")))
+    assert(src.size == 1 && alone.rows.isEmpty)
+  }
+
+  test("reaching collects each chain level in one Spark job, S with the first") {
+    val k = tbl(Seq("k", "a"), Seq(Seq("0", "1"), Seq("1", "2")))
+    val l1 = df(Seq("a", "c"), Seq(Seq("1", "x"), Seq("2", "y"), Seq("3", "z")))
+    val l1b = df(Seq("a"), Seq(Seq("2"), Seq("2")))
+    val l2 = df(Seq("c", "d"), Seq(Seq("x", "p"), Seq("z", "q")))
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try {
+      val ((src, reached), jobs) = JobCounter(spark)(
+        Operators.reaching(reachSource, Seq(k), Seq(l2, l1, l1b, unreadable("e"))))
+      assert(jobs == 2, "level 1 with S, then level 2")
+      assert(src.table.rows == Seq(Seq("0")))
+      assert(reached.map(_.rows) == Seq(
+        Seq(Seq("x", "p")), Seq(Seq("1", "x"), Seq("2", "y")), Seq(Seq("2"), Seq("2")), Seq()))
+      val (_, alone) = JobCounter(spark)(Operators.reaching(reachSource, Seq(k), Seq.empty))
+      assert(alone == 1, "S alone")
+    } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
   }
 
   // -------------------------------------------------- inner union groups

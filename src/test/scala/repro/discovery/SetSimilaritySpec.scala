@@ -2,7 +2,8 @@ package repro.discovery
 
 import java.nio.file.Files
 import repro.{Fixtures, JobCounter, SparkSpec}
-import repro.lake.{LakeIndex, TableRepo}
+import repro.core.{KeyedRows, Operators}
+import repro.lake.{LakeIndex, SourceTable, TableRepo}
 
 /** Set Similarity candidate retrieval (Algorithms 3–4). */
 class SetSimilaritySpec extends SparkSpec {
@@ -27,6 +28,13 @@ class SetSimilaritySpec extends SparkSpec {
     val names = cands.map(_.table).toSet
     assert(names.contains("A"))
     assert(!names.contains("unrelated"))
+  }
+
+  test("a candidate mapping every key column carries its rows with one of S's keys") {
+    val cands = SetSimilarity.findCandidates(repo, index, source, spark)
+    val keyed = SetSimilaritySpec.keyed(cands, source)
+    assert(keyed.map(_.table) == Seq("A"))
+    assert(SetSimilaritySpec.carriedMismatches(repo, keyed, source).isEmpty)
   }
 
   test("column mapping renames candidate columns to source columns") {
@@ -173,5 +181,33 @@ class SetSimilaritySpec extends SparkSpec {
         Seq(Seq("1", "23", "y"), Seq("12", "3", "x"), Seq("5", "6", "z"), Seq("7", "8", "w")))))
     val cands = SetSimilarity.findCandidates(lake, LakeIndex.build(lake, spark), src, spark)
     assert(cands.map(_.table) == Seq("good"))
+  }
+}
+
+object SetSimilaritySpec {
+
+  /** The candidates of `cands` that map every key column of `source`. */
+  def keyed(cands: Seq[SetSimilarity.Candidate], source: SourceTable): Seq[SetSimilarity.Candidate] =
+    cands.filter(c => source.keys.forall(c.mapping.values.toSet))
+
+  /** `c`'s renamed rows semi-joined to S's keys, collected: the rows Set
+    * Similarity carries for a candidate that maps every key column.
+    */
+  def carried(repo: TableRepo, c: SetSimilarity.Candidate, source: SourceTable): KeyedRows.Table =
+    KeyedRows.collectRows(
+      Seq(Operators.selectSourceKeys(SetSimilarity.renamed(repo, c), source)), "a candidate").head
+
+  /** The candidates of `cands` whose carried rows differ from [[carried]]'s:
+    * in their column set, or as a multiset of rows on the carried columns
+    * (the semi-join puts the key columns first).
+    */
+  def carriedMismatches(
+      repo: TableRepo, cands: Seq[SetSimilarity.Candidate], source: SourceTable): Seq[String] = {
+    def bag(t: KeyedRows.Table) = t.rows.groupMapReduce(identity)(_ => 1)(_ + _)
+    cands.filterNot { c =>
+      val want = carried(repo, c, source)
+      c.aligned.columns.toSet == want.columns.toSet &&
+        bag(c.aligned) == bag(KeyedRows.padTo(want, c.aligned.columns))
+    }.map(_.table)
   }
 }
