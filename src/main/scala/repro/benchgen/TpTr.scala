@@ -251,7 +251,7 @@ object TpTr {
       originals.values.foreach(_.unpersist())
     }
 
-    // The index is joined once per source during discovery — cache it.
+    // Every source's discovery probes the index twice — cache it.
     val index = LakeIndex.buildOrLoad(repo, spark).cache()
     val sources = qs.map { q =>
       SourceTable(q.name,

@@ -3,7 +3,7 @@ package repro.discovery
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KeyedRows
-import repro.lake.{LakeIndex, SourceTable, TableRepo}
+import repro.lake.{SourceTable, TableRepo}
 
 /** Candidate table retrieval by exact set overlap (paper Algorithms 3–4).
   *
@@ -13,11 +13,11 @@ import repro.lake.{LakeIndex, SourceTable, TableRepo}
   * for each lake table the repo has not opened yet:
   *   1. the source's rows, collected once ([[KeyedRows.collect]]); its
   *      column sizes come from them;
-  *   2. index ⋈ unpivot(S) on value → per (lake column, source column)
-  *      overlap counts;
-  *   3. restricted index self-join → pairwise overlap counts between the
-  *      mapped lake columns (used by Diversify); its diagonal is each
-  *      column's distinct-value size;
+  *   2. the index probed with S's distinct values → per (lake column,
+  *      source column) overlap counts;
+  *   3. the index rows of the mapped lake columns grouped by value →
+  *      pairwise overlap counts by co-occurrence (used by Diversify); the
+  *      diagonal is each column's distinct-value size;
   *   4. per verification batch, one collect of the batch tables' rows that
   *      align with S under any mapping their repair rounds can try.
   * Verification, its repair rounds and the duplicate check then run on the
@@ -52,45 +52,57 @@ object SetSimilarity {
     * containment scores. An all-null column counts 0.
     */
   private[repro] def sourceColumnSizes(src: KeyedRows.Table): Map[String, Int] =
-    src.columns.zipWithIndex.map { case (c, i) =>
-      c -> src.rows.iterator.map(_(i)).filter(_ != null).toSet.size
-    }.toMap
+    columnValues(src).map { case (c, vs) => c -> vs.size }.toMap
 
-  /** Overlap of every (lake table, lake column, source column) triple:
-    * |C ∩ c| and the containment |C ∩ c| / |c|.
+  /** Each source column with its set of distinct non-null values. */
+  private def columnValues(src: KeyedRows.Table): IndexedSeq[(String, Set[String])] =
+    src.columns.zipWithIndex.map { case (c, i) =>
+      c -> src.rows.iterator.map(_(i)).filter(_ != null).toSet
+    }
+
+  /** |C ∩ c| for every (lake table, lake column C, source column c) triple
+    * that shares a value, from S's rows on the driver. As JOSIE probes
+    * posting lists with a query's values, one Spark job keeps the index
+    * rows holding one of S's distinct values (one `isin`) and counts them
+    * per lake column, once for each source column whose value set holds
+    * the value (one conditional count per source column). No job when S
+    * has no non-null value.
     */
   private[discovery] def sourceOverlaps(
-      index: DataFrame, source: SourceTable): Seq[(String, String, String, Long)] = {
-    val srcIdx = LakeIndex.unpivot(source.df)
-      .withColumnRenamed("column", "scol")
-    index.join(srcIdx, "value")
-      .groupBy("table", "column", "scol")
-      .agg(count("*").as("m"))
+      index: DataFrame, src: KeyedRows.Table): Seq[(String, String, String, Long)] = {
+    val valued = columnValues(src).filter(_._2.nonEmpty)
+    if (valued.isEmpty) return Seq.empty
+    val counts = valued.map { case (_, vs) => count(when(col("value").isin(vs.toSeq.sorted: _*), true)) }
+    index.where(col("value").isin(valued.flatMap(_._2).distinct.sorted: _*))
+      .groupBy("table", "column").agg(counts.head, counts.tail: _*)
       .collect().toIndexedSeq
-      .map(r => (r.getString(0), r.getString(1), r.getString(2), r.getLong(3)))
+      .flatMap { r =>
+        valued.indices.collect { case i if r.getLong(i + 2) > 0 =>
+          (r.getString(0), r.getString(1), valued(i)._1, r.getLong(i + 2))
+        }
+      }
   }
 
-  /** Pairwise overlap counts between the given lake columns, computed via
-    * a self-join of the index restricted to them (a `left_semi` join
-    * against a driver-side list of (table, column) keys). Returns
+  /** Pairwise overlap counts between the given lake columns, from the index
+    * alone: their index rows (one `isin` on "table/column", unambiguous
+    * since table names hold no '/'), grouped by value into the columns
+    * that hold it, each group's ordered pairs counted. Returns
     * ((t1,c1),(t2,c2)) → |∩|. Index rows are distinct, so the diagonal
     * ((t,c),(t,c)) is the number of distinct values of c.
     */
   private[discovery] def pairwiseOverlaps(
       index: DataFrame,
-      cols: Set[(String, String)],
-      spark: SparkSession): Map[((String, String), (String, String)), Long] = {
-    import spark.implicits._
+      cols: Set[(String, String)]): Map[((String, String), (String, String)), Long] = {
     if (cols.isEmpty) return Map.empty
-    val keyDf = cols.toSeq.toDF("t", "c")
-    val restricted =
-      index.join(keyDf, index("table") === keyDf("t") && index("column") === keyDf("c"), "left_semi")
-    val a = restricted.select(col("table").as("t1"), col("column").as("c1"), col("value"))
-    val b = restricted.select(col("table").as("t2"), col("column").as("c2"), col("value"))
-    a.join(b, "value")
-      .groupBy("t1", "c1", "t2", "c2").agg(count("*").as("m"))
+    val byKey = cols.iterator.map { case (t, c) => s"$t/$c" -> (t, c) }.toMap
+    index.select(concat(col("table"), lit("/"), col("column")).as("k"), col("value"))
+      .where(col("k").isin(byKey.keys.toSeq.sorted: _*))
+      .groupBy("value").agg(collect_list("k").as("ks"))
+      .select(explode(col("ks")).as("k1"), col("ks"))
+      .select(col("k1"), explode(col("ks")).as("k2"))
+      .groupBy("k1", "k2").count()
       .collect().toIndexedSeq
-      .map(r => ((r.getString(0), r.getString(1)), (r.getString(2), r.getString(3))) -> r.getLong(4))
+      .map(r => (byKey(r.getString(0)), byKey(r.getString(1))) -> r.getLong(2))
       .toMap
   }
 
@@ -324,7 +336,8 @@ object SetSimilarity {
   }
 
   /** Algorithm 3 (with Algorithm 4's diversification): find, rank,
-    * diversify, verify, and prune candidate tables.
+    * diversify, verify, and prune candidate tables. `spark` is unused: the
+    * queries run on `index`'s and `repo`'s session.
     */
   def findCandidates(
       repo: TableRepo,
@@ -335,7 +348,7 @@ object SetSimilarity {
 
     val (src, _) = KeyedRows.collect(source, Seq.empty)
     val sizes = sourceColumnSizes(src.table)
-    val overlaps = sourceOverlaps(index, source)
+    val overlaps = sourceOverlaps(index, src.table)
 
     // Per-table (lakeCol, srcCol, containment, |intersection|) triples,
     // ordered by containment, intersection size, then key-preference (the
@@ -358,7 +371,7 @@ object SetSimilarity {
 
     val mappedCols: Set[(String, String)] =
       mappings.toSeq.flatMap { case (t, m) => m.keys.toSeq.map(t -> _) }.toSet
-    val pairOv = pairwiseOverlaps(index, mappedCols, spark)
+    val pairOv = pairwiseOverlaps(index, mappedCols)
 
     // --- Algorithm 4 per source column: rank by overlap, then rescore
     // each candidate against its predecessor's mapped column.

@@ -7,10 +7,11 @@ import org.apache.spark.sql.functions._
   *
   * One row per distinct `(table, column, value)` — the substrate for all
   * set-overlap computations (our stand-in for JOSIE / MATE exact
-  * set-containment search). Every discovery-time overlap score is a join
-  * + aggregation against this single DataFrame, which is what makes
-  * candidate retrieval scale with the lake rather than with the number of
-  * (source column × lake column) pairs.
+  * set-containment search). Every discovery-time overlap score is a
+  * filter of this single DataFrame by literal values or column keys,
+  * probed as JOSIE probes posting lists, plus an aggregation: no join.
+  * Candidate retrieval thus scales with the lake rather than with the
+  * number of (source column × lake column) pairs.
   */
 object LakeIndex {
 

@@ -1,12 +1,18 @@
 package repro.discovery
 
 import java.nio.file.Files
+import java.util.concurrent.ConcurrentLinkedQueue
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.joins.BaseJoinExec
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{Fixtures, JobCounter, SparkSpec}
 import repro.core.{KeyedRows, Operators}
 import repro.lake.{LakeIndex, SourceTable, TableRepo}
 
 /** Set Similarity candidate retrieval (Algorithms 3–4). */
-class SetSimilaritySpec extends SparkSpec {
+class SetSimilaritySpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val source = Fixtures.figure3Source(spark)
 
@@ -114,6 +120,26 @@ class SetSimilaritySpec extends SparkSpec {
     val (first4, second4) = jobs(4)
     assert(second4 == second1, s"repeat call: $second1 jobs with 1 copy, $second4 with 4")
     assert(first4 - first1 <= 3, s"first call: $first1 jobs with 1 copy, $first4 with 4")
+  }
+
+  test("no Spark plan of Set Similarity joins: the index is probed with S's values") {
+    val plans = new ConcurrentLinkedQueue[SparkPlan]()
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
+        plans.add(qe.executedPlan)
+    }
+    spark.listenerManager.register(listener)
+    // JobCounter drains the listener bus, which also delivers these events.
+    try JobCounter(spark)(SetSimilarity.findCandidates(repo, index, source, spark))
+    finally spark.listenerManager.unregister(listener)
+    assert(plans.size >= 4, "the source, overlaps, pairwise overlaps and verification")
+    // BaseJoinExec covers SortMergeJoinExec, the hash joins,
+    // BroadcastNestedLoopJoinExec and CartesianProductExec; the helper
+    // walks adaptive plans' query stages and subqueries.
+    val joins = plans.asScala.toSeq.flatMap(collectWithSubqueries(_) { case j: BaseJoinExec => j.nodeName })
+    assert(joins.isEmpty, s"join operators: $joins")
   }
 
   // A source keyed on ID whose columns hold five distinct values each.
