@@ -1,6 +1,6 @@
 package repro.discovery
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KeyedRows
 import repro.lake.{SourceTable, TableRepo}
@@ -86,7 +86,9 @@ object SetSimilarity {
   /** Pairwise overlap counts between the given lake columns, from the index
     * alone: their index rows (one `isin` on "table/column", unambiguous
     * since table names hold no '/'), grouped by value into the columns
-    * that hold it, each group's ordered pairs counted. Returns
+    * that hold it, each group's ordered pairs counted. A partition counts
+    * its groups' pairs itself, so a query returns at most |cols|² rows per
+    * partition, summed here, and shuffles once. Returns
     * ((t1,c1),(t2,c2)) → |∩|. Index rows are distinct, so the diagonal
     * ((t,c),(t,c)) is the number of distinct values of c.
     */
@@ -97,13 +99,17 @@ object SetSimilarity {
     val byKey = cols.iterator.map { case (t, c) => s"$t/$c" -> (t, c) }.toMap
     index.select(concat(col("table"), lit("/"), col("column")).as("k"), col("value"))
       .where(col("k").isin(byKey.keys.toSeq.sorted: _*))
-      .groupBy("value").agg(collect_list("k").as("ks"))
-      .select(explode(col("ks")).as("k1"), col("ks"))
-      .select(col("k1"), explode(col("ks")).as("k2"))
-      .groupBy("k1", "k2").count()
-      .collect().toIndexedSeq
-      .map(r => (byKey(r.getString(0)), byKey(r.getString(1))) -> r.getLong(2))
-      .toMap
+      .groupBy("value").agg(collect_list("k"))
+      .mapPartitions { groups =>
+        val pairs = scala.collection.mutable.HashMap[(String, String), Long]()
+        groups.foreach { g =>
+          val ks = g.getSeq[String](1)
+          for (a <- ks; b <- ks) pairs((a, b)) = pairs.getOrElse((a, b), 0L) + 1
+        }
+        pairs.iterator.map { case ((a, b), m) => (a, b, m) }
+      }(Encoders.tuple(Encoders.STRING, Encoders.STRING, Encoders.scalaLong))
+      .collect().toSeq
+      .groupMapReduce { case (a, b, _) => (byKey(a), byKey(b)) }(_._3)(_ + _)
   }
 
   // Aligned-tuple verification (Algorithm 3, lines 11–14). Column-level
