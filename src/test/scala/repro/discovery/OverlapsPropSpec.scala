@@ -16,16 +16,15 @@ class OverlapsPropSpec extends SparkSpec {
   private val N: String = null
   private val Shared = Seq("1", "2", "3", "4")
   private val SrcCols = IndexedSeq("x", "y", "z")
+  private val LakeCols = for (t <- Seq("t0", "t1", "t2"); c <- Seq("a", "b", "c")) yield (t, c)
 
   /** A lake of three tables over columns a–c: each column a set of values
     * from a domain the lake shares with S, plus values of its own.
     */
-  private val lake: Gen[Seq[(String, String, String)]] = {
-    val columns = for (t <- Seq("t0", "t1", "t2"); c <- Seq("a", "b", "c")) yield (t, c)
-    Gen.sequence[Seq[Seq[(String, String, String)]], Seq[(String, String, String)]](columns.map {
+  private val lake: Gen[Seq[(String, String, String)]] =
+    Gen.sequence[Seq[Seq[(String, String, String)]], Seq[(String, String, String)]](LakeCols.map {
       case (t, c) => Gen.someOf(Shared ++ Seq(s"$t$c-1", s"$t$c-2")).map(_.toSeq.map(v => (t, c, v)))
     }).map(_.flatten)
-  }
 
   /** S on x, y, z: cells from the shared domain, a value no lake column
     * holds, or null; 0–5 rows plus duplicates; a column may be all null.
@@ -80,9 +79,8 @@ class OverlapsPropSpec extends SparkSpec {
   }
 
   test("pairwiseOverlaps matches DuckDB's self-join of the restricted index") {
-    val columns = for (t <- Seq("t0", "t1", "t2"); c <- Seq("a", "b", "c")) yield (t, c)
     val isolated = mutable.Set[Boolean]()
-    check(Prop.forAll(lake, Gen.someOf(columns)) { (idx, picked) =>
+    check(Prop.forAll(lake, Gen.someOf(LakeCols)) { (idx, picked) =>
       val mapped = picked.toSet
       val valuesOf = idx.groupMap(t => (t._1, t._2))(_._3).view.mapValues(_.toSet).toMap
       isolated += mapped.exists(k => valuesOf.contains(k) &&
