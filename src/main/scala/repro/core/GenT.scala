@@ -14,7 +14,8 @@ import repro.lake.{SourceTable, TableRepo}
   * collected ([[SetSimilarity.Candidate]]'s `aligned`); no keyed candidate
   * is read again. S and the keyless candidates, restricted to the rows a
   * chain of joins links to those ([[Operators.reaching]]), come in one
-  * Spark job per chain level (one on every TP-TR Small source). Expand,
+  * Spark job per chain level (one on every TP-TR Small source), each level
+  * reading its tables in one scan of the lake. Expand,
   * matrix traversal and integration run on the driver, and the reclaimed
   * table is a local DataFrame of their rows.
   */
@@ -65,7 +66,7 @@ object GenT {
     // joins can link to them, in one job per chain level, S with the first.
     val (keyed, keyless) = candidates.partition(c => source.keys.forall(c.mapping.values.toSet))
     val (src, reached) = Operators.reaching(
-      source, keyed.map(_.aligned), keyless.map(SetSimilarity.renamed(repo, _)))
+      repo, source, keyed.map(_.aligned), keyless.map(c => c.table -> c.mapping))
     val rows = (keyed.map(c => c.table -> c.aligned) ++ keyless.map(_.table).zip(reached)).toMap
 
     // --- Expand (Algorithm 5): give every candidate the source key.

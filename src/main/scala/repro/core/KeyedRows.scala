@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable
 import scala.jdk.CollectionConverters._
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions.{array, col, lit}
 import org.apache.spark.sql.types.{ArrayType, StringType, StructField, StructType}
 import repro.lake.SourceTable
@@ -46,26 +46,47 @@ object KeyedRows {
     def size: Int = table.rows.size
   }
 
-  /** One Spark job: every frame's rows, cells cast to strings, collected
-    * as one tagged union. Element i is frame i as a [[Table]] of its own
-    * columns. Fails, naming `what`, if the union holds more than
-    * [[MaxRows]] rows. The one collect of driver rows: Gen-T, Set
-    * Similarity's verification, the metrics and the baselines call it.
+  /** Tables to bring to the driver in one collect: `df`, when there is a
+    * table, holds an int `__tag` and the row's cells as `__cells`, the
+    * rows of table i tagged i, on its columns `columns(i)`.
     */
-  def collectRows(frames: Seq[DataFrame], what: String): Seq[Table] = {
-    if (frames.isEmpty) return Seq.empty
-    val tagged = frames.zipWithIndex.map { case (df, i) =>
-      df.select(lit(i).as("__tag"),
-        array(df.columns.toIndexedSeq.map(c => col(c).cast(StringType)): _*)
-          .cast(ArrayType(StringType)).as("__cells"))
-    }
-    val rows = tagged.reduce(_ union _).collect()
+  final case class Tagged(columns: IndexedSeq[IndexedSeq[String]], df: Option[DataFrame]) {
+
+    /** These tables, then `that`'s, its tags shifted past these. */
+    def ++(that: Tagged): Tagged = Tagged(columns ++ that.columns, (df ++ that.df.map(d =>
+      if (columns.isEmpty) d else d.select((col("__tag") + columns.size).as("__tag"), col("__cells"))
+    )).reduceOption(_ union _))
+  }
+
+  /** Every frame's rows, cells cast to strings, as one tagged union. */
+  def tagged(frames: Seq[DataFrame]): Tagged =
+    Tagged(frames.map(_.columns.toIndexedSeq).toIndexedSeq, frames.zipWithIndex.map { case (df, i) =>
+      df.select(lit(i).as("__tag"), cells(df.columns.toIndexedSeq.map(col)).as("__cells"))
+    }.reduceOption(_ union _))
+
+  /** `columns` cast to strings, as the one `__cells` column of [[Tagged]]. */
+  def cells(columns: Seq[Column]): Column =
+    array(columns.map(_.cast(StringType)): _*).cast(ArrayType(StringType))
+
+  /** One Spark job: every frame's rows collected ([[tagged]]). Element i is
+    * frame i as a [[Table]] of its own columns.
+    */
+  def collectRows(frames: Seq[DataFrame], what: String): Seq[Table] =
+    collectTagged(tagged(frames), what)
+
+  /** One Spark job, none without a table: `t`'s tables on the driver, in
+    * order. Fails, naming `what`, if they hold more than [[MaxRows]] rows.
+    * The one collect of driver rows: Gen-T, Set Similarity's verification,
+    * the metrics and the baselines call it, directly or through
+    * [[collectRows]] and [[repro.lake.TableRepo.scan]].
+    */
+  def collectTagged(t: Tagged, what: String): Seq[Table] = {
+    val rows = t.df.fold(Array.empty[Row])(_.collect())
     if (rows.length > MaxRows) throw new IllegalStateException(
       s"${rows.length} rows collected for $what: more than the driver-side bound of $MaxRows")
     val byTag = rows.groupBy(_.getInt(0))
-    frames.zipWithIndex.map { case (df, i) =>
-      Table(df.columns.toIndexedSeq,
-        byTag.getOrElse(i, Array.empty[Row]).toIndexedSeq.map(_.getSeq[String](1)))
+    t.columns.indices.map { i =>
+      Table(t.columns(i), byTag.getOrElse(i, Array.empty[Row]).toIndexedSeq.map(_.getSeq[String](1)))
     }
   }
 

@@ -3,7 +3,7 @@ package repro.core
 import scala.annotation.tailrec
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.lake.SourceTable
+import repro.lake.{SourceTable, TableRepo}
 
 /** The paper's integration operators (§IV-B): Outer Union (⊎), Inner
   * Union (∪), Projection (π), Selection (σ), Subsumption (β), and
@@ -11,7 +11,7 @@ import repro.lake.SourceTable
   *
   * The DataFrame operators here (⊎, π, σ) serve ALITE-PS's ProjectSelect
   * and the outer union that [[Fd]] collects; [[reaching]] reads Gen-T's
-  * keyless candidates.
+  * keyless candidates from the lake.
   * β and κ are pairwise tuple operators: two tuples can only subsume or
   * complement each other if they agree on every attribute where both are
   * non-null, so once every tuple carries a non-null source-key value
@@ -53,31 +53,39 @@ object Operators {
       df.join(sk, source.keys, "left_semi")
     }
 
-  /** `source` and `frames` on the driver, each frame restricted to the
-    * rows a chain of equi-joins on shared columns links to a row of
-    * `keyed`, the tables with S's key already on the driver (level 0).
-    * Level by level, a frame sharing a column with the previous level keeps
-    * its rows holding one of that level's distinct non-null values in a
-    * shared column (an `isin` per column, OR'd): a bag, and a null matches
-    * nothing. One Spark job per level collects its frames, S with the
-    * first; a frame no chain reaches is read by none and keeps no row.
+  /** `source` and the `keyless` lake tables on the driver, each table
+    * given as its name and a renaming (lake column → name), and kept on
+    * its renamed columns in name order (as
+    * [[repro.discovery.SetSimilarity.renamed]]), restricted to the rows a
+    * chain of equi-joins on shared names links to a row of `keyed`, the
+    * tables with S's key already on the driver (level 0). Level by level,
+    * a table sharing a name with the previous level keeps its rows holding
+    * one of that level's distinct non-null values in a shared column (an
+    * `isin` per column, OR'd): a bag, and a null matches nothing. One
+    * Spark job per level collects its tables in one scan
+    * ([[TableRepo.scan]]), S with the first; a table no chain reaches is
+    * read by none and keeps no row.
     */
   def reaching(
+      repo: TableRepo,
       source: SourceTable,
       keyed: Seq[KeyedRows.Table],
-      frames: Seq[DataFrame]): (KeyedRows.Source, Seq[KeyedRows.Table]) = {
+      keyless: Seq[(String, Map[String, String])]): (KeyedRows.Source, Seq[KeyedRows.Table]) = {
+    val renames = keyless.map { case (_, m) => m.toIndexedSeq.sortBy(_._2) }
     def shared(i: Int, level: Seq[KeyedRows.Table]) =
-      frames(i).columns.toIndexedSeq.filter(c => level.exists(_.columns.contains(c)))
+      renames(i).filter { case (_, n) => level.exists(_.columns.contains(n)) }
     def values(level: Seq[KeyedRows.Table], c: String): Seq[String] =
       level.flatMap(t => t.columns.indexOf(c) match {
         case -1 => Nil
         case i => t.rows.map(_(i))
       }).filter(_ != null).distinct
-    // The frames of `rest` that `level` reaches, and the rows each one reads.
-    def next(level: Seq[KeyedRows.Table], rest: Seq[Int]): (Seq[Int], Seq[DataFrame]) = {
+    // The tables of `rest` that `level` reaches, and the rows each one
+    // reads, on the names of its columns.
+    def next(level: Seq[KeyedRows.Table], rest: Seq[Int]): (Seq[Int], KeyedRows.Tagged) = {
       val reached = rest.filter(shared(_, level).nonEmpty)
-      reached -> reached.map(i =>
-        frames(i).where(shared(i, level).map(c => col(c).isin(values(level, c): _*)).reduce(_ || _)))
+      reached -> repo.scan(reached.map(i => TableRepo.Read(keyless(i)._1,
+        shared(i, level).map { case (c, n) => col(c).isin(values(level, n): _*) }.reduce(_ || _),
+        renames(i).map(_._1)))).copy(columns = reached.map(i => renames(i).map(_._2)).toIndexedSeq)
     }
     @tailrec def kept(
         level: Seq[KeyedRows.Table], rest: Seq[Int],
@@ -85,15 +93,15 @@ object Operators {
       val (reached, reads) = next(level, rest)
       if (reached.isEmpty) done
       else {
-        val rows = KeyedRows.collectRows(reads, s"a chain level of source ${source.name}")
+        val rows = KeyedRows.collectTagged(reads, s"a chain level of source ${source.name}")
         kept(rows, rest.diff(reached), done ++ reached.zip(rows))
       }
     }
-    val (first, reads) = next(keyed, frames.indices)
-    val rows = KeyedRows.collectRows(source.df +: reads, s"source ${source.name}")
-    val done = kept(rows.tail, frames.indices.diff(first), first.zip(rows.tail).toMap)
-    (KeyedRows.Source(rows.head, source.keys), frames.indices.map(i =>
-      done.getOrElse(i, KeyedRows.Table(frames(i).columns.toIndexedSeq, Seq.empty))))
+    val (first, reads) = next(keyed, keyless.indices)
+    val rows = KeyedRows.collectTagged(KeyedRows.tagged(Seq(source.df)) ++ reads, s"source ${source.name}")
+    val done = kept(rows.tail, keyless.indices.diff(first), first.zip(rows.tail).toMap)
+    (KeyedRows.Source(rows.head, source.keys), keyless.indices.map(i =>
+      done.getOrElse(i, KeyedRows.Table(renames(i).map(_._2), Seq.empty))))
   }
 
   /** ProjectSelect of Algorithm 2, line 3. */

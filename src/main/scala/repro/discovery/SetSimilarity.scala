@@ -1,5 +1,6 @@
 package repro.discovery
 
+import org.apache.spark.SparkContext
 import org.apache.spark.sql.{Column, DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.KeyedRows
@@ -9,8 +10,9 @@ import repro.lake.{SourceTable, TableRepo}
   *
   * Only the lake-scale overlap search runs in Spark; everything about a
   * single candidate runs on the driver. A source costs four Spark jobs
-  * when its candidates fit one verification batch, plus one schema read
-  * for each lake table the repo has not opened yet:
+  * when the walk below verifies no table beyond the `topK * 8` best by
+  * undiversified score, plus one schema read for each lake table the
+  * repo has not opened yet:
   *   1. the source's rows, collected once ([[KeyedRows.collect]]); its
   *      column sizes come from them;
   *   2. the index probed with S's distinct values → per (lake column,
@@ -18,8 +20,12 @@ import repro.lake.{SourceTable, TableRepo}
   *   3. the index rows of the mapped lake columns grouped by value →
   *      pairwise overlap counts by co-occurrence (used by Diversify); the
   *      diagonal is each column's distinct-value size;
-  *   4. per verification batch, one collect of the batch tables' rows that
-  *      align with S under any mapping their repair rounds can try.
+  *   4. at the same time, on a second driver thread, one collect of the
+  *      rows of those `topK * 8` tables that align with S under any
+  *      mapping their repair rounds can try, all tables in one scan of the
+  *      lake ([[TableRepo.scan]]): the rounds depend on the overlaps
+  *      alone. A batch of the walk that reaches a table outside them reads
+  *      it in one more such collect.
   * Verification, its repair rounds and the duplicate check then run on the
   * driver over those rows. Each candidate keeps the rows its mapping
   * aligns (`Candidate.aligned`): for one that maps every key column, the
@@ -255,45 +261,80 @@ object SetSimilarity {
   private def dedupKey(c: Candidate): (Set[String], Map[Seq[String], Int]) =
     (c.aligned.columns.toSet, c.aligned.rows.groupMapReduce(identity)(_ => 1)(_ + _))
 
-  /** Verify a batch of ranked tables, repairing crossed column assignments.
-    * Anchor confirmed by at least one above-chance column → accept
-    * (below-τ columns are simply dropped, as in the paper). Anchor
-    * unconfirmed → crossed assignment: ban the anchor pairs and re-map;
-    * the other columns may have failed merely because the bogus anchor
-    * aligned garbage tuples. A table whose mapping shrinks below two
-    * columns is rejected.
-    *
-    * Every table's rounds are known in advance ([[repairChain]]), so one
-    * Spark job collects the rows each table aligns under any of them, on
-    * the lake columns any of them maps; the rounds then run on the driver.
+  /** The repair chain of each of `tables` that has a check to run, in
+    * order: a check with no column to verify confirms nothing.
+    */
+  private def chains(
+      tables: Seq[String],
+      tableTriples: Map[String, Seq[(String, String, Double, Long)]],
+      src: KeyedRows.Source,
+      sizes: Map[String, Int],
+      cfg: Config): Seq[(String, Seq[Check])] =
+    tables.map(t => t -> repairChain(tableTriples(t), src, sizes, cfg).filter(_.checkCols.nonEmpty))
+      .filter(_._2.nonEmpty)
+
+  /** One Spark job, none for no table: each table's chain with the rows
+    * the table aligns under any of its rounds, on the lake columns any
+    * round maps, read in one scan of the lake ([[TableRepo.scan]]).
+    */
+  private def alignedRows(
+      repo: TableRepo,
+      chains: Seq[(String, Seq[Check])]): Map[String, (Seq[Check], KeyedRows.Table)] = {
+    val reads = chains.map { case (t, chain) =>
+      TableRepo.Read(t, chain.map(alignedFilter).reduce(_ || _), chain.flatMap(_.mapping.keys).distinct.sorted)
+    }
+    chains.zip(KeyedRows.collectTagged(repo.scan(reads), "verification"))
+      .map { case ((t, chain), lake) => t -> (chain, lake) }.toMap
+  }
+
+  /** Verify a ranked table, repairing crossed column assignments, on the
+    * rows `lake` its chain aligns ([[alignedRows]]). Anchor confirmed by at
+    * least one above-chance column → accept (below-τ columns are simply
+    * dropped, as in the paper). Anchor unconfirmed → crossed assignment:
+    * the next round bans the anchor pairs and re-maps; the other columns
+    * may have failed merely because the bogus anchor aligned garbage
+    * tuples. A table whose mapping shrinks below two columns is rejected.
     * An accepted table's candidate carries its rows aligned under the
     * accepting round, on the surviving mapping.
     */
-  private def verifyBatch(
-      repo: TableRepo,
-      tables: Seq[String],
-      tableTriples: Map[String, Seq[(String, String, Double, Long)]],
-      tableScores: Map[String, Double],
-      src: KeyedRows.Source,
+  private def verify(
+      t: String,
+      chain: Seq[Check],
+      lake: KeyedRows.Table,
+      score: Double,
       sizes: Map[String, Int],
-      cfg: Config): Map[String, Candidate] = {
-    // A check with no column to verify confirms nothing, so it reads no rows.
-    val chains = tables.map(t => t -> repairChain(tableTriples(t), src, sizes, cfg)
-      .filter(_.checkCols.nonEmpty)).filter(_._2.nonEmpty)
-    val frames = chains.map { case (t, chain) =>
-      repo.read(t).df.where(chain.map(alignedFilter).reduce(_ || _))
-        .select(chain.flatMap(_.mapping.keys).distinct.sorted.map(col): _*)
+      cfg: Config): Option[Candidate] =
+    chain.iterator.map(ch => (ch, surviving(ch, lake, sizes, cfg)))
+      .collectFirst { case (ch, kept) if kept.size >= 2 =>
+        val cols = kept.toSeq.sortBy(_._2)
+        val pos = cols.map { case (c, _) => lake.columns.indexOf(c) }
+        Candidate(t, kept, score, KeyedRows.Table(cols.map(_._2).toIndexedSeq,
+          aligned(ch, lake).map { case (_, r) => pos.map(r) }))
+      }
+
+  /** `side` on a second driver thread, created here, while `main` runs on
+    * this one. The thread inherits this one's Spark local properties (they
+    * are inheritable), so a job it submits is attributed as this thread's
+    * would be. A failure on either side is rethrown; when `main` fails,
+    * `side`'s jobs are cancelled. The thread has ended on return.
+    */
+  private def alongside[A, B](sc: SparkContext)(side: => B)(main: => A): (A, B) = {
+    val tag = s"set-similarity-${java.util.UUID.randomUUID()}"
+    @volatile var sideResult: Either[Throwable, B] = Left(new IllegalStateException("no result"))
+    val thread = new Thread(() => {
+      sc.addJobTag(tag)
+      sideResult = try Right(side) catch { case e: Throwable => Left(e) }
+    }, "set-similarity-verification")
+    thread.setDaemon(true)
+    thread.start()
+    val mainResult = try main catch {
+      case e: Throwable =>
+        sc.cancelJobsWithTag(tag)
+        thread.join()
+        throw e
     }
-    val rows = KeyedRows.collectRows(frames, "verification")
-    chains.zip(rows).flatMap { case ((t, chain), lake) =>
-      chain.iterator.map(ch => (ch, surviving(ch, lake, sizes, cfg)))
-        .collectFirst { case (ch, kept) if kept.size >= 2 =>
-          val cols = kept.toSeq.sortBy(_._2)
-          val pos = cols.map { case (c, _) => lake.columns.indexOf(c) }
-          t -> Candidate(t, kept, tableScores(t), KeyedRows.Table(cols.map(_._2).toIndexedSeq,
-            aligned(ch, lake).map { case (_, r) => pos.map(r) }))
-        }
-    }.toMap
+    thread.join()
+    sideResult.fold(e => throw e, b => (mainResult, b))
   }
 
   /** Greedy injective column assignment: lakeCol→srcCol by descending
@@ -377,7 +418,15 @@ object SetSimilarity {
 
     val mappedCols: Set[(String, String)] =
       mappings.toSeq.flatMap { case (t, m) => m.keys.toSeq.map(t -> _) }.toSet
-    val pairOv = pairwiseOverlaps(index, mappedCols)
+
+    // The walk below attempts at most `topK * 8` tables. Their repair chains
+    // need only the overlaps, so the rows of the `topK * 8` best by
+    // undiversified score are read while the pairwise overlaps are counted.
+    val likely = mappings.toSeq.map { case (t, m) => t -> m.values.map(_._2).sum / m.size }
+      .sortBy { case (t, s) => (-s, t) }.take(cfg.topK * 8).map(_._1)
+    def verificationRows(tables: Seq[String]) = alignedRows(repo, chains(tables, tableTriples, src, sizes, cfg))
+    val (pairOv, prefetched) =
+      alongside(index.sparkSession.sparkContext)(verificationRows(likely))(pairwiseOverlaps(index, mappedCols))
 
     // --- Algorithm 4 per source column: rank by overlap, then rescore
     // each candidate against its predecessor's mapped column.
@@ -411,14 +460,19 @@ object SetSimilarity {
     // until enough candidates survive. Junk candidates whose high set
     // overlap is coincidental die here. A batch is the next
     // `wanted − verified` tables: each adds at most one candidate, so the
-    // batches attempt exactly the tables a one-by-one walk would.
+    // batches attempt exactly the tables a one-by-one walk would. A table
+    // of a batch that the prefetch did not read is read in a follow-up
+    // job for the batch.
     val verified = scala.collection.mutable.ArrayBuffer[Candidate]()
+    var read = prefetched
     val wanted = cfg.topK + 4 // headroom for the duplicate removal below
     var toAttempt = ranked.take(cfg.topK * 8)
     while (toAttempt.nonEmpty && verified.size < wanted) {
       val (batch, rest) = toAttempt.splitAt(wanted - verified.size)
-      val accepted = verifyBatch(repo, batch, tableTriples, tableScores, src, sizes, cfg)
-      verified ++= batch.flatMap(accepted.get)
+      read ++= verificationRows(batch.filterNot(likely.toSet))
+      verified ++= batch.flatMap(t => read.get(t).flatMap { case (chain, lake) =>
+        verify(t, chain, lake, tableScores(t), sizes, cfg)
+      })
       toAttempt = rest
     }
 

@@ -1,8 +1,12 @@
 package repro.core
 
+import java.io.File
+import java.nio.file.Files
+import org.apache.commons.io.FileUtils
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, JobCounter, Oracle, SparkSpec}
-import repro.lake.SourceTable
+import repro.lake.{SourceTable, TableRepo}
 
 /** Integration operators (§IV-B) + Theorem 8's representative-operator
   * lemmas, checked against DuckDB via the Oracle: the DataFrame ⊎, π, σ,
@@ -78,29 +82,42 @@ class OperatorsSpec extends SparkSpec {
     assert(Operators.selectSourceKeys(t, src).count() == 1)
   }
 
-  // reaching's level 0 is driver tables; the DuckDB references read them
-  // as DataFrames. S is a one-row table keyed on k.
+  // reaching's level 0 is driver tables and its keyless tables live in a
+  // lake; the DuckDB references read both as DataFrames. S is a one-row
+  // table keyed on k.
   private def reachSource = SourceTable("s", df(Seq("k"), Seq(Seq("0"))), Seq("k"))
   private def local(t: KeyedRows.Table) = KeyedRows.toDf(t, spark)
 
-  /** A frame on `cols` whose every read fails. */
-  private def unreadable(cols: String*) = {
-    val boom = udf((v: String) => if (v != null) throw new IllegalStateException("read") else v)
-    df(cols, Seq(cols.map(_ => "1"))).select(cols.map(c => boom(col(c)).as(c)): _*)
+  /** A lake of `tables`, each opened, and each as a keyless candidate:
+    * its name and its columns renamed as `renames` says, others kept.
+    */
+  private def lake(tables: (String, DataFrame)*)(renames: (String, String)*) = {
+    val repo = TableRepo.create(Files.createTempDirectory("reaching").toString, spark, tables.toMap)
+    (repo, tables.map { case (n, t) =>
+      repo.read(n)
+      n -> t.columns.map(c => c -> renames.toMap.getOrElse(c, c)).toMap
+    })
   }
+
+  /** Table `name` of `repo` made unreadable: its directory is gone, so any
+    * scan of it fails.
+    */
+  private def unreadable(repo: TableRepo, name: String): Unit =
+    FileUtils.deleteDirectory(new File(new File(repo.root, "tables"), name))
 
   test("reaching keeps the keyless rows sharing a value with a keyed frame — against DuckDB") {
     // a is shared with both keyed tables, b with k2 only, z with neither;
     // the duplicate row stays twice and null cells match nothing, in the
-    // frame and in level 0, whose duplicate values count once. Level 0
-    // holds no value of n, so the frame n reads no row.
+    // table and in level 0, whose duplicate values count once. Level 0
+    // holds no value of n, so the table n reads no row.
     val t = df(Seq("a", "b", "z"), Seq(
       Seq("1", "x", "p"), Seq("1", "x", "p"), Seq("2", "y", "q"),
       Seq(N, "w", "r"), Seq("9", N, "s"), Seq("8", "v", "1"), Seq(N, N, "0")))
     val k1 = tbl(Seq("k", "a", "n"), Seq(Seq("0", "1", N), Seq("0", N, N), Seq("1", "1", N)))
     val k2 = tbl(Seq("k", "b", "a"), Seq(Seq("0", "w", "7"), Seq("1", "y", N), Seq("2", "w", N)))
     val n = df(Seq("n"), Seq(Seq("1"), Seq(N)))
-    val (src, Seq(rt, rn)) = Operators.reaching(reachSource, Seq(k1, k2), Seq(t, n))
+    val (repo, keyless) = lake("t" -> t, "n" -> n)()
+    val (src, Seq(rt, rn)) = Operators.reaching(repo, reachSource, Seq(k1, k2), keyless)
     assert(src.table.rows == Seq(Seq("0")) && src.keys == Seq("k"))
     assert(rn == KeyedRows.Table(Vector("n"), Seq.empty))
     assert(rt.columns == Seq("a", "b", "z"))
@@ -111,17 +128,21 @@ class OperatorsSpec extends SparkSpec {
   }
 
   test("reaching follows a chain of keyless frames and drops the unreached — against DuckDB") {
-    // l2 shares no column with the keyed table, only c with l1; the frame
-    // on e shares nothing and is never read.
+    // l2 shares no column with the keyed table, only c with l1, whose lake
+    // table names it lc; the table on e shares nothing and is never read.
     val k = tbl(Seq("k", "a"), Seq(Seq("0", "1")))
     val l1 = df(Seq("a", "c"), Seq(Seq("1", "x"), Seq("2", "y")))
     val l2 = df(Seq("c", "d"), Seq(Seq("x", "p"), Seq("y", "q"), Seq(N, "r"), Seq("x", "s")))
-    val (_, Seq(r2, _, ru)) = Operators.reaching(reachSource, Seq(k), Seq(l2, l1, unreadable("e")))
+    val (repo, keyless) = lake(
+      "l2" -> l2, "l1" -> l1.withColumnRenamed("c", "lc"), "e" -> df(Seq("e"), Seq(Seq("1"))))("lc" -> "c")
+    unreadable(repo, "e")
+    val (_, Seq(r2, r1, ru)) = Operators.reaching(repo, reachSource, Seq(k), keyless)
     Oracle.assertEquivalent(local(r2),
       "SELECT * FROM l2 WHERE c IN (SELECT c FROM l1 WHERE a IN (SELECT a FROM k))",
       "l2" -> l2, "l1" -> l1, "k" -> local(k))
+    assert(r1 == KeyedRows.Table(Vector("a", "c"), Seq(Seq("1", "x"))))
     assert(ru == KeyedRows.Table(Vector("e"), Seq.empty))
-    val (src, Seq(alone)) = Operators.reaching(reachSource, Seq.empty, Seq(unreadable("e")))
+    val (src, Seq(alone)) = Operators.reaching(repo, reachSource, Seq.empty, keyless.takeRight(1))
     assert(src.size == 1 && alone.rows.isEmpty)
   }
 
@@ -130,16 +151,19 @@ class OperatorsSpec extends SparkSpec {
     val l1 = df(Seq("a", "c"), Seq(Seq("1", "x"), Seq("2", "y"), Seq("3", "z")))
     val l1b = df(Seq("a"), Seq(Seq("2"), Seq("2")))
     val l2 = df(Seq("c", "d"), Seq(Seq("x", "p"), Seq("z", "q")))
+    val (repo, keyless) = lake(
+      "l2" -> l2, "l1" -> l1, "l1b" -> l1b, "e" -> df(Seq("e"), Seq(Seq("1"))))()
+    unreadable(repo, "e")
     val aqe = spark.conf.get("spark.sql.adaptive.enabled")
     spark.conf.set("spark.sql.adaptive.enabled", "false")
     try {
       val ((src, reached), jobs) = JobCounter(spark)(
-        Operators.reaching(reachSource, Seq(k), Seq(l2, l1, l1b, unreadable("e"))))
+        Operators.reaching(repo, reachSource, Seq(k), keyless))
       assert(jobs == 2, "level 1 with S, then level 2")
       assert(src.table.rows == Seq(Seq("0")))
       assert(reached.map(_.rows) == Seq(
         Seq(Seq("x", "p")), Seq(Seq("1", "x"), Seq("2", "y")), Seq(Seq("2"), Seq("2")), Seq()))
-      val (_, alone) = JobCounter(spark)(Operators.reaching(reachSource, Seq(k), Seq.empty))
+      val (_, alone) = JobCounter(spark)(Operators.reaching(repo, reachSource, Seq(k), Seq.empty))
       assert(alone == 1, "S alone")
     } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
   }

@@ -1,6 +1,7 @@
 package repro.discovery
 
 import java.nio.file.Files
+import org.apache.commons.io.FileUtils
 import java.util.concurrent.ConcurrentLinkedQueue
 import scala.jdk.CollectionConverters._
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
@@ -180,6 +181,48 @@ class SetSimilaritySpec extends SparkSpec with AdaptiveSparkPlanHelper {
       "crossed" -> Map("ID" -> "ID", "X" -> "X", "Y" -> "Y", "Z" -> "Z"),
       "partial" -> Map("ID" -> "ID", "X" -> "X", "Y" -> "Y")))
     assert(jobs == 4, "the source, overlaps, pairwise overlaps and one verification batch")
+  }
+
+  test("a table the walk reaches outside the prefetched tables is verified in a follow-up job") {
+    // Ten copies of S and `zz`, which holds S's rows and fifteen more: all
+    // eleven tie on undiversified score, so the prefetch reads the first
+    // topK * 8 = 8 copies by name. Diversification drops every copy but
+    // one to 0 and `zz` only to 0.75 at worst, so the walk's first batch
+    // reaches `zz`, and the copies ranked behind it.
+    val rows = (1 to 5).map(i => Seq(s"$i", s"x$i", s"y$i", s"z$i"))
+    val more = rows ++ (6 to 20).map(i => Seq(s"$i", s"x$i", s"y$i", s"z$i"))
+    val copies = (1 to 10).map(i => f"c$i%02d" -> Fixtures.stringDf(spark, Seq("ID", "X", "Y", "Z"), rows))
+    val lake = TableRepo.create(Files.createTempDirectory("setsim-followup").toString, spark,
+      (copies :+ ("zz" -> Fixtures.stringDf(spark, Seq("ID", "X", "Y", "Z"), more))).toMap)
+    val lakeIndex = LakeIndex.build(lake, spark)
+    val cfg = SetSimilarity.Config(topK = 1)
+    val first = SetSimilarity.findCandidates(lake, lakeIndex, keyed, spark, cfg)
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    val (again, jobs) =
+      try JobCounter(spark)(SetSimilarity.findCandidates(lake, lakeIndex, keyed, spark, cfg))
+      finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
+    assert(again == first)
+    // What the walk returned when each of its batches read its own tables.
+    val all = Map("ID" -> "ID", "X" -> "X", "Y" -> "Y", "Z" -> "Z")
+    assert(first.map(c => (c.table, c.mapping, c.score)) == Seq(("c05", all, 1.0)))
+    assert(jobs == 6, "the four jobs, the follow-up for zz, and one signature job for the ties")
+  }
+
+  test("a failed verification read fails the call and leaves no job or thread behind") {
+    val root = Files.createTempDirectory("setsim-fail").toString
+    val lake = TableRepo.create(root, spark, Map(
+      "A" -> Fixtures.tableA(spark), "B" -> Fixtures.tableB(spark), "D" -> Fixtures.tableD(spark)))
+    // Persisted, so that the overlap queries do not read the lake tables.
+    val lakeIndex = LakeIndex.buildOrLoad(lake, spark)
+    assert(SetSimilarity.findCandidates(lake, lakeIndex, source, spark).exists(_.table == "A"))
+    FileUtils.deleteDirectory(new java.io.File(new java.io.File(root, "tables"), "A"))
+    // JobCounter drains the listener bus after the call.
+    val (thrown, _) =
+      JobCounter(spark)(intercept[Exception](SetSimilarity.findCandidates(lake, lakeIndex, source, spark)))
+    assert(thrown.getMessage.contains("tables/A"), thrown.getMessage)
+    assert(spark.sparkContext.statusTracker.getActiveJobIds.isEmpty)
+    assert(!Thread.getAllStackTraces.keySet.asScala.exists(_.getName == "set-similarity-verification"))
   }
 
   test("tables equal on every source-aligned row but not elsewhere both survive dedup") {

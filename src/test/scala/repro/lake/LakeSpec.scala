@@ -2,7 +2,7 @@ package repro.lake
 
 import java.nio.file.Files
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, SparkSpec}
+import repro.{Fixtures, JobCounter, SparkSpec}
 import repro.core.KeyedRows
 import repro.discovery.SetSimilarity
 
@@ -42,6 +42,63 @@ class LakeSpec extends SparkSpec {
     assert(!(after eq before))
     assert(after.columns.toSeq == Seq("Name", "Age"))
     assert(after.collect().toSet == Fixtures.tableB(spark).collect().toSet)
+  }
+
+  /** `reads` one table at a time, as a filtered collect of each: the
+    * reference for [[TableRepo.scan]].
+    */
+  private def readOneByOne(repo: TableRepo, reads: Seq[TableRepo.Read]): Seq[KeyedRows.Table] =
+    KeyedRows.collectRows(reads.map(r =>
+      repo.read(r.table).df.where(r.where).select(r.columns.map(col): _*)), "reference")
+
+  test("TableRepo.scan reads each table as a filtered read of it alone does") {
+    val N: String = null
+    val repo = TableRepo.create(Files.createTempDirectory("repo-scan").toString, spark, Map(
+      // Duplicate rows and null predicate cells.
+      "p" -> Fixtures.stringDf(spark, Seq("Name", "a", "b"), Seq(
+        Seq("n1", "1", "x"), Seq("n1", "1", "x"), Seq("n2", N, "y"), Seq("n3", "2", N), Seq("n4", "3", "z"))),
+      // `name` differs from p's `Name` only in case; `c` is absent from p.
+      "q" -> Fixtures.stringDf(spark, Seq("name", "b", "c"), Seq(
+        Seq("n1", "x", "c1"), Seq("n2", "y", N), Seq("n5", N, "c1"))),
+      "r" -> Fixtures.stringDf(spark, Seq("x"), Seq(Seq("1"), Seq("2"))),
+      "empty" -> Fixtures.stringDf(spark, Seq("a", "z"), Seq.empty)))
+    val reads = Seq(
+      TableRepo.Read("p", col("a").isin("1", "2"), Seq("Name", "b")),
+      TableRepo.Read("q", col("c").isin("c1") || col("name") === "n2", Seq("c", "name")),
+      TableRepo.Read("r", lit(true), Seq("x")),
+      TableRepo.Read("empty", col("a").isNotNull, Seq("a", "z")))
+    val got = KeyedRows.collectTagged(repo.scan(reads), "scan")
+    assert(got == readOneByOne(repo, reads))
+    assert(got.map(_.rows.size) == Seq(3, 3, 2, 0))
+    // Each subset and order of the reads is the same tables.
+    for (n <- 1 to reads.size; sub <- reads.combinations(n); perm <- sub.permutations.take(2))
+      assert(KeyedRows.collectTagged(repo.scan(perm), "scan") == readOneByOne(repo, perm), perm.map(_.table))
+    assert(KeyedRows.collectTagged(repo.scan(Seq.empty), "scan") == Seq.empty)
+    intercept[IllegalArgumentException](repo.scan(reads.take(1) ++ reads.take(1)))
+    // A table rewritten through the repo is scanned anew.
+    repo.write("r", Fixtures.stringDf(spark, Seq("x"), Seq(Seq("3"))))
+    assert(KeyedRows.collectTagged(repo.scan(reads.slice(2, 3)), "scan").map(_.rows) == Seq(Seq(Seq("3"))))
+  }
+
+  test("TableRepo.scan reads more tables than Spark lists without a job, in several scans of one job") {
+    val n = spark.sessionState.conf.parallelPartitionDiscoveryThreshold + 8
+    val names = (0 until n).map(i => f"t$i%02d")
+    val repo = TableRepo.create(Files.createTempDirectory("repo-scan-many").toString, spark,
+      names.zipWithIndex.map { case (t, i) =>
+        t -> Fixtures.stringDf(spark, Seq(s"c${i % 3}", "v"), Seq(Seq(s"$i", "a"), Seq(s"$i", "b")))
+      }.toMap)
+    val reads = names.zipWithIndex.map { case (t, i) =>
+      TableRepo.Read(t, col("v") === (if (i % 2 == 0) "a" else "b"), Seq(s"c${i % 3}", "v"))
+    }
+    val want = readOneByOne(repo, reads) // opens every table
+    val aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    try {
+      val (got, jobs) = JobCounter(spark)(KeyedRows.collectTagged(repo.scan(reads), "scan"))
+      assert(got == want)
+      assert(got.forall(_.rows.size == 1))
+      assert(jobs == 1, s"$n tables")
+    } finally spark.conf.set("spark.sql.adaptive.enabled", aqe)
   }
 
   test("TableRepo lists table names sorted") {
