@@ -53,9 +53,8 @@ object KeyedRows {
   final case class Tagged(columns: IndexedSeq[IndexedSeq[String]], df: Option[DataFrame]) {
 
     /** These tables, then `that`'s, its tags shifted past these. */
-    def ++(that: Tagged): Tagged = Tagged(columns ++ that.columns, (df ++ that.df.map(d =>
-      if (columns.isEmpty) d else d.select((col("__tag") + columns.size).as("__tag"), col("__cells"))
-    )).reduceOption(_ union _))
+    def ++(that: Tagged): Tagged = Tagged(columns ++ that.columns, (df ++ that.df.map(
+      _.select((col("__tag") + columns.size).as("__tag"), col("__cells")))).reduceOption(_ union _))
   }
 
   /** Every frame's rows, cells cast to strings, as one tagged union. */
