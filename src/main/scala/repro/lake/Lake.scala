@@ -1,8 +1,13 @@
 package repro.lake
 
+import org.apache.hadoop.fs.Path
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{StringType, StructType}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{And, AttributeReference, BoundReference, Expression, Literal, Predicate}
+import org.apache.spark.sql.execution.datasources.{FileIndex, HadoopFsRelation, LogicalRelation, PartitionDirectory}
+import org.apache.spark.sql.execution.datasources.parquet.ParquetFileFormat
+import org.apache.spark.sql.types.{IntegerType, StringType, StructField, StructType}
 import repro.core.KeyedRows
 
 /** Utilities for the string-typed data-lake table model.
@@ -26,6 +31,12 @@ object Lake {
 /** A named, string-typed table living in a [[TableRepo]]. */
 final case class LakeTable(name: String, df: DataFrame) {
   def columns: Seq[String] = df.columns.toIndexedSeq
+
+  /** The table's files, as listed when `df` was opened. */
+  def files: FileIndex = df.queryExecution.analyzed.collectFirst {
+    case l: LogicalRelation => l.relation
+  }.collect { case r: HadoopFsRelation => r.location }
+    .getOrElse(throw new IllegalStateException(s"table $name is not read from files"))
 }
 
 /** A source table: a string-typed DataFrame plus its (multi-attribute) key.
@@ -70,33 +81,34 @@ final class TableRepo(val root: String, spark: SparkSession) {
   /** The tables of `reads` as one tagged relation for
     * [[KeyedRows.collectTagged]]: read i is table i, its rows that `where`
     * keeps, on its `columns`. One Parquet scan reads up to
-    * [[TableRepo.TablesPerScan]] table directories, under the union of the
-    * tables' schemas (a column name once, whatever its case, when names
-    * resolve case-insensitively), and tags each row with the table whose
-    * directory holds its file (`_metadata.file_path`); more tables are a
-    * union of such scans, collected in the same job. Opens each table
-    * ([[read]]) for its schema. A table appears in at most one read.
+    * [[TableRepo.TablesPerScan]] tables, under the union of their schemas
+    * (a column name once, whatever its case, when names resolve
+    * case-insensitively), over the files each table's [[read]] listed when
+    * it was opened, with table i's files as the partition `__tag` = i
+    * ([[TableRepo.TableFiles]]): a scan lists no directory, and its rows
+    * carry their tag as a constant of their file. More tables are a union
+    * of such scans, collected in the same job. A table appears in at most
+    * one read.
     */
   def scan(reads: Seq[TableRepo.Read]): KeyedRows.Tagged = {
     require(reads.map(_.table).distinct.size == reads.size, s"a table read twice: ${reads.map(_.table)}")
     val conf = spark.sessionState.conf
-    val perScan = math.min(TableRepo.TablesPerScan, conf.parallelPartitionDiscoveryThreshold)
-    val chunks = reads.zipWithIndex.grouped(perScan).map { chunk =>
-      val fields = chunk.flatMap { case (r, _) => read(r.table).df.schema.fields }
+    val chunks = reads.zipWithIndex.grouped(TableRepo.TablesPerScan).map { chunk =>
+      val tables = chunk.map { case (r, _) => read(r.table) }
+      val fields = tables.flatMap(_.df.schema.fields)
       val schema = StructType(fields.distinctBy(f => if (conf.caseSensitiveAnalysis) f.name
         else f.name.toLowerCase(java.util.Locale.ROOT)))
-      val df = spark.read.schema(schema).parquet(chunk.map { case (r, _) => dir(r.table).toString }: _*)
-      val path = df.metadataColumn("_metadata").getField("file_path")
-      val table = substring_index(substring_index(path, "/", -2), "/", 1)
-      def byTable(f: (TableRepo.Read, Int) => Column) = {
-        val (r0, i0) = chunk.head
-        chunk.tail.foldLeft(when(table === r0.table, f(r0, i0))) {
-          case (c, (r, i)) => c.when(table === r.table, f(r, i))
-        }
-      }
-      df.where(chunk.map { case (r, _) => table === r.table && r.where }.reduce(_ || _))
-        .select(byTable((_, i) => lit(i)).as("__tag"),
-          byTable((r, _) => KeyedRows.cells(r.columns.map(col))).as("__cells"))
+      require(!schema.exists(f => TableRepo.TableFiles.schema.exists(_.name.equalsIgnoreCase(f.name))),
+        s"a column of ${chunk.map(_._1.table)} is named ${TableRepo.TableFiles.Tag}")
+      val files = new TableRepo.TableFiles(tables.map(_.files).zip(chunk.map(_._2)))
+      val df = spark.baseRelationToDataFrame(HadoopFsRelation(files, files.partitionSchema, schema,
+        None, new ParquetFileFormat, Map.empty)(spark))
+      val tag = df.col(TableRepo.TableFiles.Tag)
+      val (r0, i0) = chunk.head
+      df.where(chunk.map { case (r, i) => tag === i && r.where }.reduce(_ || _))
+        .select(tag.as("__tag"), chunk.tail.foldLeft(when(tag === i0, KeyedRows.cells(r0.columns.map(col)))) {
+          case (c, (r, i)) => c.when(tag === i, KeyedRows.cells(r.columns.map(col)))
+        }.as("__cells"))
     }.toSeq
     KeyedRows.Tagged(reads.map(_.columns.toIndexedSeq).toIndexedSeq, chunks.reduceOption(_ union _))
   }
@@ -118,10 +130,37 @@ object TableRepo {
     * compiles them into one method, which HotSpot leaves uncompiled past
     * 8,000 bytes of bytecode: on TP-TR Med q15, Set Similarity's 24
     * verification tables took 2.4–3.2 s in one scan, 0.7–1.3 s in scans of
-    * 8 and 1.3–1.9 s in scans of one (4 cores). Spark also lists more than
-    * `parallelPartitionDiscovery.threshold` (32) paths in a job of its own.
+    * 8 and 1.3–1.9 s in scans of one (4 cores).
     */
   val TablesPerScan = 8
+
+  /** Several opened tables' files as one file index, each table's files a
+    * partition of its own: `tables` pairs a table's index with its tag, the
+    * partition's int value of `__tag`. Listing it lists nothing anew: the
+    * tables' indexes hold the files they listed when opened.
+    */
+  final class TableFiles(tables: Seq[(FileIndex, Int)]) extends FileIndex {
+    override def partitionSchema: StructType = TableFiles.schema
+    override def rootPaths: Seq[Path] = tables.flatMap(_._1.rootPaths)
+    override def inputFiles: Array[String] = tables.flatMap(_._1.inputFiles).toArray
+    override def refresh(): Unit = tables.foreach(_._1.refresh())
+    override def sizeInBytes: Long = tables.map(_._1.sizeInBytes).sum
+
+    /** The tables whose tag passes `partitionFilters`; Spark does not
+      * evaluate those again on the rows.
+      */
+    override def listFiles(partitionFilters: Seq[Expression], dataFilters: Seq[Expression]): Seq[PartitionDirectory] = {
+      val keep = Predicate.createInterpreted(partitionFilters.reduceOption(And).getOrElse(Literal.TrueLiteral)
+        .transform { case _: AttributeReference => BoundReference(0, IntegerType, nullable = false) })
+      tables.map { case (t, i) => InternalRow(i) -> t }.filter { case (row, _) => keep.eval(row) }
+        .map { case (row, t) => PartitionDirectory(row, t.listFiles(Nil, Nil).flatMap(_.files)) }
+    }
+  }
+
+  object TableFiles {
+    val Tag = "__tag"
+    val schema: StructType = StructType(Seq(StructField(Tag, IntegerType, nullable = false)))
+  }
 
   /** One table of a [[TableRepo.scan]]: its rows that `where` keeps, on
     * `columns`, both named as in the table.

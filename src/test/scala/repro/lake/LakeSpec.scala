@@ -80,6 +80,28 @@ class LakeSpec extends SparkSpec {
     assert(KeyedRows.collectTagged(repo.scan(reads.slice(2, 3)), "scan").map(_.rows) == Seq(Seq(Seq("3"))))
   }
 
+  test("TableRepo.scan reads the files each table listed when it was opened") {
+    val root = Files.createTempDirectory("repo-scan-listed")
+    val repo = TableRepo.create(root.toString, spark, Map(
+      "t" -> Fixtures.stringDf(spark, Seq("x"), Seq(Seq("1"))),
+      "u" -> Fixtures.stringDf(spark, Seq("x"), Seq(Seq("2")))))
+    val reads = Seq(TableRepo.Read("t", lit(true), Seq("x")))
+    def scanned(r: TableRepo) = KeyedRows.collectTagged(r.scan(reads), "scan").map(_.rows.toSet)
+    assert(scanned(repo) == Seq(Set(Seq("1"))))
+    // u's files copied into t's directory behind the repo's back: the
+    // scan lists no directory, so only a new repo reads them.
+    val files = Files.list(root.resolve("tables/u"))
+    try files.filter(_.getFileName.toString.endsWith(".parquet"))
+      .forEach(f => Files.copy(f, root.resolve("tables/t").resolve("copied-" + f.getFileName)))
+    finally files.close()
+    assert(scanned(repo) == Seq(Set(Seq("1"))))
+    assert(scanned(TableRepo(root.toString, spark)) == Seq(Set(Seq("1"), Seq("2"))))
+    // A column named as the scan's tag, whatever its case, is refused.
+    val tagged = TableRepo.create(Files.createTempDirectory("repo-scan-tag").toString, spark,
+      Map("w" -> Fixtures.stringDf(spark, Seq("__TAG"), Seq(Seq("1")))))
+    intercept[IllegalArgumentException](tagged.scan(Seq(TableRepo.Read("w", lit(true), Seq("__TAG")))))
+  }
+
   test("TableRepo.scan reads more tables than Spark lists without a job, in several scans of one job") {
     val n = spark.sessionState.conf.parallelPartitionDiscoveryThreshold + 8
     val names = (0 until n).map(i => f"t$i%02d")
