@@ -2,64 +2,38 @@ package repro.bench
 
 import java.nio.file.{Files, Path, Paths}
 import org.apache.spark.sql.SparkSession
-import repro.harness.Harness
+import repro.SparkSpec
+import repro.harness.Profile
 
 /** Shared plumbing for the per-table benchmark suites.
   *
-  * Each suite prints the paper's numbers next to ours and also writes the
-  * rendered table under `bench/results/` so EXPERIMENTS.md can be diffed
-  * against a fresh run.
-  *
-  * Scales are container-sized (DESIGN.md §5); env knobs:
-  *   - REPRO_BENCH_MED_SOURCES (default 8): #sources for TP-TR Med rows
-  *   - REPRO_BENCH_LARGE_SOURCES (default 4): #sources for TP-TR Large
-  *   - REPRO_BENCH_SMALL_SOURCES (default 26): #sources for TP-TR Small
-  *   - REPRO_BENCH_DISTRACTORS (default 400): distractor tables (SANTOS)
-  *   - REPRO_BENCH_WEB_TABLES (default 40): web corpus size (Table IV)
+  * Each suite renders its paper table with `repro.harness.Experiments` at
+  * [[Profile.Bench]] (scales and environment knobs there), prints it and
+  * also writes it under `bench/results/` so EXPERIMENTS.md can be diffed
+  * against a fresh run. Lakes are generated under `target/bench-lakes/`
+  * and reused by later runs. Both directories are in the checkout the
+  * suites were compiled in.
   */
 object BenchSupport {
 
-  def envInt(name: String, default: Int): Int =
-    sys.env.get(name).flatMap(s => scala.util.Try(s.toInt).toOption).getOrElse(default)
+  /** The nearest directory above these classes that holds `build.sbt`. */
+  private val checkout: Path =
+    Iterator.iterate(Paths.get(getClass.getProtectionDomain.getCodeSource.getLocation.toURI))(_.getParent)
+      .takeWhile(_ != null).find(d => Files.exists(d.resolve("build.sbt")))
+      .getOrElse(sys.error("bench suites: no build.sbt above their classes"))
 
-  /** Stable on-disk location so repeated bench runs reuse generated lakes. */
-  def lakeRoot(name: String): String = {
-    val p = Paths.get("/root/repo/target/bench-lakes", name)
-    Files.createDirectories(p)
-    p.toString
-  }
-
-  def resultsDir: Path = {
-    val p = Paths.get("/root/repo/bench/results")
-    Files.createDirectories(p)
-    p
-  }
+  val lakes: String = checkout.resolve("target/bench-lakes").toString
 
   def emit(fileName: String, content: String): Unit = {
-    Files.write(resultsDir.resolve(fileName), content.getBytes("UTF-8"))
+    val results = Files.createDirectories(checkout.resolve("bench/results"))
+    Files.write(results.resolve(fileName), content.getBytes("UTF-8"))
     println(content)
   }
+}
 
-  def tuned(spark: SparkSession): SparkSession = {
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark
-  }
-
-  /** Render a paper-vs-measured block for one benchmark table. */
-  def withPaper(title: String,
-                measured: String,
-                paperRows: Seq[(String, String)]): String = {
-    val paper = ("--- paper reports (Rec Pre Inst-Div D_KL) ---" +:
-      paperRows.map { case (m, v) => f"$m%-28s $v" }).mkString("\n")
-    s"$measured\n$paper\n"
-  }
-
-  def run(
-      spark: SparkSession,
-      bench: repro.benchgen.TpTr.Benchmark,
-      methods: Seq[Harness.MethodSpec],
-      nSources: Int,
-      cfg: Harness.RunConfig = Harness.RunConfig()): Seq[Harness.SourceRun] =
-    Harness.runAll(spark, bench.repo, bench.index,
-      bench.sources.take(nSources), bench.intSets, methods, cfg)
+/** A bench suite: SparkSpec's shared session, with the bench profile's
+  * Spark settings.
+  */
+trait BenchSpec extends SparkSpec {
+  def session: SparkSession = Profile.Bench.applyTo(spark)
 }

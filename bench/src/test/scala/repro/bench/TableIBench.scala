@@ -1,7 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
-import repro.benchgen.{TpTr, WebBench}
+import repro.harness.{Experiments, Profile}
 
 /** Paper Table I: statistics of the benchmark data lakes.
   *
@@ -9,57 +8,11 @@ import repro.benchgen.{TpTr, WebBench}
   * the relative ordering (Small ≪ Med ≪ Large; the embedded lakes add an
   * order of magnitude more tables), which must match the paper.
   */
-class TableIBench extends SparkSpec {
-
-  private def stats(repo: repro.lake.TableRepo): (Int, Long, Long, Double) = {
-    val tables = repo.allTables
-    val nTables = tables.size
-    val nCols = tables.map(_.columns.size.toLong).sum
-    val rows = tables.map(_.df.count())
-    val avgRows = if (rows.isEmpty) 0L else rows.sum / rows.size
-    val sizeMb = tables.map(t => dirSize(new java.io.File(repo.root, s"tables/${t.name}")))
-      .sum / 1e6
-    (nTables, nCols, avgRows, sizeMb)
-  }
-
-  private def dirSize(f: java.io.File): Long =
-    if (f.isFile) f.length()
-    else Option(f.listFiles()).map(_.map(dirSize).sum).getOrElse(0L)
+class TableIBench extends BenchSpec {
 
   test("Table I: benchmark lake statistics") {
-    BenchSupport.tuned(spark)
-    val distractors = BenchSupport.envInt("REPRO_BENCH_DISTRACTORS", 400)
-    val webTables = BenchSupport.envInt("REPRO_BENCH_WEB_TABLES", 40)
-
-    val benches = Seq(
-      "TP-TR Small" -> TpTr.build(spark, BenchSupport.lakeRoot("tptr_small"), TpTr.Small).repo,
-      "TP-TR Med" -> TpTr.build(spark, BenchSupport.lakeRoot("tptr_med"), TpTr.Med).repo,
-      "TP-TR Large" -> TpTr.build(spark, BenchSupport.lakeRoot("tptr_large"), TpTr.Large).repo,
-      "SANTOS Large +TP-TR Med" -> TpTr.build(spark,
-        BenchSupport.lakeRoot("santos_med"), TpTr.Med, distractors = distractors).repo,
-      "T2D Gold (web)" -> WebBench.build(spark, BenchSupport.lakeRoot("t2d"),
-        nTables = webTables).repo,
-      "WDC Sample +T2D Gold" -> WebBench.build(spark, BenchSupport.lakeRoot("wdc"),
-        nTables = webTables, distractors = distractors * 3).repo,
-    )
-
-    val rows = benches.map { case (name, repo) =>
-      val (t, c, r, mb) = stats(repo)
-      f"$name%-26s ${t}%8d ${c}%8d ${r}%9d ${mb}%9.1f"
-    }
-    val measured = (f"${"Benchmark"}%-26s ${"#Tables"}%8s ${"#Cols"}%8s ${"AvgRows"}%9s ${"SizeMB"}%9s"
-      +: rows).mkString("\n")
-
-    val paper =
-      """--- paper reports (#Tables #Cols AvgRows SizeMB) ---
-        |TP-TR Small                32      244       782         3
-        |TP-TR Med                  32      244     10800        40
-        |TP-TR Large                32      244   1000000      3900
-        |SANTOS Large +TP-TR Med 11000   122000      7700     11000
-        |T2D Gold                  515     2147        74         4
-        |WDC Sample +T2D Gold    15000    75000        14        66""".stripMargin
-
-    BenchSupport.emit("table1.txt", s"=== Table I: lake statistics ===\n$measured\n$paper\n")
+    val (text, benches) = Experiments.tableI(session, Profile.Bench, BenchSupport.lakes)
+    BenchSupport.emit("table1.txt", text)
     assert(benches.size == 6)
   }
 }

@@ -1,8 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
-import repro.benchgen.TpTr
-import repro.harness.Harness
+import repro.harness.{Experiments, Harness, Profile}
+import repro.harness.Experiments.TableII
 
 /** Paper Table II: ALITE / ALITE-PS / Gen-T on the larger TP-TR
   * benchmarks (TP-TR Med, SANTOS Large +TP-TR Med, TP-TR Large).
@@ -12,29 +11,16 @@ import repro.harness.Harness
   * embedding the lake among distractors (SANTOS) does not hurt Gen-T.
   * Runtimes and output-size ratios (Fig. 8's data) are printed alongside.
   */
-class TableIIBench extends SparkSpec {
+class TableIIBench extends BenchSpec {
 
-  private def runOne(title: String, file: String,
-                     bench: TpTr.Benchmark, n: Int,
-                     paper: Seq[(String, String)]): Seq[Harness.Agg] = {
-    val runs = BenchSupport.run(spark, bench, Harness.TableIIMethods, n)
-    val aggs = Harness.aggregate(runs)
-    val measured = Harness.format(s"$title ($n sources)", aggs,
-      Harness.TableIIMethods.map(_.label))
-    BenchSupport.emit(file, BenchSupport.withPaper(title, measured, paper))
-    aggs
+  private def runOne(which: TableII, file: String): Seq[Harness.Agg] = {
+    val t = Experiments.tableII(session, Profile.Bench, BenchSupport.lakes, which)
+    BenchSupport.emit(file, t.text)
+    t.aggs
   }
 
   test("Table II: TP-TR Med") {
-    BenchSupport.tuned(spark)
-    val n = BenchSupport.envInt("REPRO_BENCH_MED_SOURCES", 8)
-    val bench = TpTr.build(spark, BenchSupport.lakeRoot("tptr_med"), TpTr.Med)
-    val aggs = runOne("Table II: TP-TR Med", "table2_med.txt", bench, n, Seq(
-      "ALITE" -> "0.662 0.202 0.100 35.831",
-      "ALITE w/ int. set" -> "0.694 0.202 0.085 36.348",
-      "ALITE-PS" -> "0.880 0.556 0.009  3.524",
-      "ALITE-PS w/ int. set" -> "0.880 0.569 0.009  3.524",
-      "Gen-T" -> "0.976 0.867 0.004  1.326"))
+    val aggs = runOne(TableII.Med, "table2_med.txt")
     val byM = aggs.map(a => a.method -> a).toMap
     val genT = byM("Gen-T")
     for ((m, a) <- byM if m != "Gen-T" && !a.rec.isNaN) {
@@ -43,32 +29,13 @@ class TableIIBench extends SparkSpec {
   }
 
   test("Table II: SANTOS Large +TP-TR Med (distractor-embedded)") {
-    BenchSupport.tuned(spark)
-    val n = BenchSupport.envInt("REPRO_BENCH_MED_SOURCES", 8)
-    val d = BenchSupport.envInt("REPRO_BENCH_DISTRACTORS", 400)
-    val bench = TpTr.build(spark, BenchSupport.lakeRoot("santos_med"), TpTr.Med,
-      distractors = d)
-    val aggs = runOne("Table II: SANTOS Large +TP-TR Med", "table2_santos.txt",
-      bench, n, Seq(
-        "ALITE" -> "—",
-        "ALITE w/ int. set" -> "0.694 0.202 0.085 36.348",
-        "ALITE-PS" -> "0.842 0.554 0.011  4.629",
-        "ALITE-PS w/ int. set" -> "0.880 0.569 0.009  3.524",
-        "Gen-T" -> "0.976 0.867 0.004  1.326"))
+    val aggs = runOne(TableII.Santos, "table2_santos.txt")
     val genT = aggs.find(_.method == "Gen-T").get
     assert(genT.rec > 0.5, s"Gen-T must survive distractor embedding: $genT")
   }
 
   test("Table II: TP-TR Large") {
-    BenchSupport.tuned(spark)
-    val n = BenchSupport.envInt("REPRO_BENCH_LARGE_SOURCES", 4)
-    val bench = TpTr.build(spark, BenchSupport.lakeRoot("tptr_large"), TpTr.Large)
-    val aggs = runOne("Table II: TP-TR Large", "table2_large.txt", bench, n, Seq(
-      "ALITE" -> "— (timeout)",
-      "ALITE w/ int. set" -> "— (timeout)",
-      "ALITE-PS" -> "0.775 0.521 0.049 21.978",
-      "ALITE-PS w/ int. set" -> "0.880 0.569 0.009  3.524",
-      "Gen-T" -> "0.971 0.807 0.004  1.490"))
+    val aggs = runOne(TableII.Large, "table2_large.txt")
     val byM = aggs.map(a => a.method -> a).toMap
     // Paper shape: plain ALITE times out on Large (FD is exponential).
     assert(byM("ALITE w/ int. set").timeouts > 0,

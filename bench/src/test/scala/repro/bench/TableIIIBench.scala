@@ -1,8 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
-import repro.benchgen.TpTr
-import repro.harness.Harness
+import repro.harness.{Experiments, Harness, Profile}
 
 /** Paper Table III: all methods on TP-TR Small.
   *
@@ -11,30 +9,13 @@ import repro.harness.Harness
   * and Ver sit between; Gen-T perfectly reclaims most sources while
   * baselines perfectly reclaim at most a few.
   */
-class TableIIIBench extends SparkSpec {
+class TableIIIBench extends BenchSpec {
 
   test("Table III: TP-TR Small effectiveness") {
-    BenchSupport.tuned(spark)
-    val n = BenchSupport.envInt("REPRO_BENCH_SMALL_SOURCES", 26)
-    val bench = TpTr.build(spark, BenchSupport.lakeRoot("tptr_small"), TpTr.Small)
-    val runs = BenchSupport.run(spark, bench, Harness.TableIIIMethods, n)
-    val aggs = Harness.aggregate(runs)
-    val measured = Harness.format(s"Table III: TP-TR Small ($n sources)",
-      aggs, Harness.TableIIIMethods.map(_.label))
+    val t = Experiments.tableIII(session, Profile.Bench, BenchSupport.lakes)
+    BenchSupport.emit("table3.txt", t.text)
 
-    val out = BenchSupport.withPaper("Table III", measured, Seq(
-      "ALITE" -> "0.704 0.128 0.095  1.332",
-      "ALITE w/ int. set" -> "0.745 0.133 0.086  1.197",
-      "ALITE-PS" -> "0.805 0.539 0.040  0.655",
-      "ALITE-PS w/ int. set" -> "0.833 0.552 0.037  0.688",
-      "Auto-Pipeline*" -> "0.674 0.272 0.158  2.574",
-      "Auto-Pipeline* w/ int. set" -> "0.683 0.289 0.133  2.109",
-      "Ver w/ int. set" -> "0.746 0.351 0.127 10.393",
-      "Gen-T" -> "0.954 0.799 0.015  0.165",
-    ))
-    BenchSupport.emit("table3.txt", out)
-
-    val byM = aggs.map(a => a.method -> a).toMap
+    val byM = t.aggs.map(a => a.method -> a).toMap
     val genT = byM("Gen-T")
     // Shape assertions from the paper's claims.
     for (m <- Harness.TableIIIMethods.map(_.label) if m != "Gen-T"; a <- byM.get(m)

@@ -1,8 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
-import repro.benchgen.WebBench
-import repro.harness.Harness
+import repro.harness.{Experiments, Profile}
 
 /** Paper Table IV + §VI-D generalizability: the web-table benchmark.
   *
@@ -12,53 +10,18 @@ import repro.harness.Harness
   * non-empty sources), finds the duplicate sets, and dominates ALITE /
   * ALITE-PS / Auto-Pipeline* on precision while matching their recall.
   */
-class TableIVBench extends SparkSpec {
+class TableIVBench extends BenchSpec {
 
   test("Table IV: WDC Sample + T2D Gold (web corpus)") {
-    BenchSupport.tuned(spark)
-    val nTables = BenchSupport.envInt("REPRO_BENCH_WEB_TABLES", 40)
-    val d = BenchSupport.envInt("REPRO_BENCH_DISTRACTORS", 400)
-    val bench = WebBench.build(spark, BenchSupport.lakeRoot("wdc"),
-      nTables = nTables, distractors = d * 3)
-    val nSources = BenchSupport.envInt("REPRO_BENCH_WEB_SOURCES", bench.sources.size)
+    val (t, planted) = Experiments.tableIV(session, Profile.Bench, BenchSupport.lakes)
+    BenchSupport.emit("table4.txt", t.text)
 
-    val runs = Harness.runAll(spark, bench.repo, bench.index,
-      bench.sources.take(nSources), Map.empty, Harness.TableIVMethods,
-      Harness.RunConfig(excludeSelf = true))
-
-    // Paper protocol: report over the common sources for which every
-    // method produced a non-empty output.
-    val bySource = runs.groupBy(_.source)
-    val common = bySource.collect {
-      case (s, rs) if rs.forall(r => r.scores.exists(_.outputCells > 0)) => s
-    }.toSet
-    val commonRuns = runs.filter(r => common.contains(r.source))
-    val aggs = Harness.aggregate(
-      if (commonRuns.nonEmpty) commonRuns else runs)
-
-    val measured = Harness.format(
-      s"Table IV: web corpus (${common.size} common non-empty sources of ${bench.sources.size})",
-      aggs, Harness.TableIVMethods.map(_.label))
-    val out = BenchSupport.withPaper("Table IV", measured, Seq(
-      "ALITE" -> "0.956 0.490 0.009  0.627",
-      "ALITE-PS" -> "0.956 0.796 0.009  0.627",
-      "Auto-Pipeline*" -> "0.881 0.725 0.088 19.261",
-      "Gen-T" -> "0.956 1.000 0.009  0.627"))
-
-    // §VI-D counts: perfectly reclaimed sources and duplicate detections.
-    val genTPerfect = runs.filter(r => r.method == "Gen-T" && r.scores.exists(_.perfect))
-      .map(_.source).sorted
-    val summary = s"Gen-T perfectly reclaims ${genTPerfect.size} sources: " +
-      s"${genTPerfect.mkString(", ")}\n" +
-      s"(planted: ${bench.reclaimable.toSeq.sorted.mkString(", ")} + " +
-      s"${bench.duplicates.count(!_.endsWith("_dup"))} duplicate sets)\n"
-    BenchSupport.emit("table4.txt", out + summary)
-
-    val byM = aggs.map(a => a.method -> a).toMap
+    val byM = t.aggs.map(a => a.method -> a).toMap
     val genT = byM("Gen-T")
     for ((m, a) <- byM if m != "Gen-T" && !a.pre.isNaN)
       assert(genT.pre >= a.pre - 1e-9, s"Gen-T precision must lead on common sources: $m")
     // Every planted reclaimable/duplicate source must be perfectly reclaimed.
-    bench.reclaimable.foreach(s => assert(genTPerfect.contains(s), s"missed planted $s"))
+    val genTPerfect = t.perfect("Gen-T")
+    planted.foreach(s => assert(genTPerfect.contains(s), s"missed planted $s"))
   }
 }

@@ -1,10 +1,7 @@
 package repro.harness
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.baselines.{Alite, AutoPipelineStar, Ver}
-import repro.core.{GenT, Metrics, Operators}
-import repro.discovery.SetSimilarity
+import repro.core.Metrics
 import repro.lake.{SourceTable, TableRepo}
 
 /** Experiment harness: runs every method of the paper's evaluation over a
@@ -13,48 +10,25 @@ import repro.lake.{SourceTable, TableRepo}
   */
 object Harness {
 
-  /** A method row of the paper's tables. `algo` ∈
-    * {gen-t, alite, alite-ps, autopipeline, ver}; `intSet` = the
-    * "w/ int. set" variant (input is the known integrating set instead of
-    * the Set Similarity candidates).
-    */
-  final case class MethodSpec(label: String, algo: String, intSet: Boolean)
+  import Method._
 
   /** Table II's methods (larger TP-TR benchmarks). */
-  val TableIIMethods: Seq[MethodSpec] = Seq(
-    MethodSpec("ALITE", "alite", intSet = false),
-    MethodSpec("ALITE w/ int. set", "alite", intSet = true),
-    MethodSpec("ALITE-PS", "alite-ps", intSet = false),
-    MethodSpec("ALITE-PS w/ int. set", "alite-ps", intSet = true),
-    MethodSpec("Gen-T", "gen-t", intSet = false),
-  )
+  val TableIIMethods: Seq[Method] = Seq(
+    Alite(intSet = false), Alite(intSet = true),
+    AlitePs(intSet = false), AlitePs(intSet = true),
+    GenT)
 
   /** Table III's methods (TP-TR Small adds Auto-Pipeline* and Ver). */
-  val TableIIIMethods: Seq[MethodSpec] = Seq(
-    MethodSpec("ALITE", "alite", intSet = false),
-    MethodSpec("ALITE w/ int. set", "alite", intSet = true),
-    MethodSpec("ALITE-PS", "alite-ps", intSet = false),
-    MethodSpec("ALITE-PS w/ int. set", "alite-ps", intSet = true),
-    MethodSpec("Auto-Pipeline*", "autopipeline", intSet = false),
-    MethodSpec("Auto-Pipeline* w/ int. set", "autopipeline", intSet = true),
-    MethodSpec("Ver w/ int. set", "ver", intSet = true),
-    MethodSpec("Gen-T", "gen-t", intSet = false),
-  )
+  val TableIIIMethods: Seq[Method] = Seq(
+    Alite(intSet = false), Alite(intSet = true),
+    AlitePs(intSet = false), AlitePs(intSet = true),
+    AutoPipeline(intSet = false), AutoPipeline(intSet = true),
+    Ver(intSet = true),
+    GenT)
 
   /** Table IV's methods (web benchmark). */
-  val TableIVMethods: Seq[MethodSpec] = Seq(
-    MethodSpec("ALITE", "alite", intSet = false),
-    MethodSpec("ALITE-PS", "alite-ps", intSet = false),
-    MethodSpec("Auto-Pipeline*", "autopipeline", intSet = false),
-    MethodSpec("Gen-T", "gen-t", intSet = false),
-  )
-
-  final case class RunConfig(
-      genT: GenT.Config = GenT.Config(),
-      alite: Alite.Config = Alite.Config(),
-      autoPipeline: AutoPipelineStar.Config = AutoPipelineStar.Config(),
-      ver: Ver.Config = Ver.Config(),
-      excludeSelf: Boolean = false)
+  val TableIVMethods: Seq[Method] = Seq(
+    Alite(intSet = false), AlitePs(intSet = false), AutoPipeline(intSet = false), GenT)
 
   final case class SourceRun(
       source: String,
@@ -62,67 +36,30 @@ object Harness {
       scores: Option[Metrics.Scores],
       millis: Long)
 
-  /** Rename the integrating-set tables against the source via a
-    * Set-Similarity pass restricted to exactly those tables (low τ, no
-    * candidate pruning) — the implicit schema matching every baseline
-    * needs before integration.
-    */
-  def intSetInputs(repo: TableRepo, index: DataFrame, names: Seq[String],
-                   source: SourceTable, spark: SparkSession): Seq[DataFrame] = {
-    val restricted = index.where(col("table").isin(names: _*))
-    // Default τ: a lower threshold would admit (and then fail to repair)
-    // crossed column mappings inside the integrating set.
-    val cfg = SetSimilarity.Config(topK = names.size)
-    SetSimilarity.findCandidates(repo, restricted, source, spark, cfg)
-      .map(c => SetSimilarity.renamed(repo, c))
-  }
-
   private def time[A](f: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a = f
     (a, (System.nanoTime() - t0) / 1000000)
   }
 
-  /** Run all `methods` for every source of the benchmark. */
+  /** Run all `methods` for every source of the benchmark. A method's
+    * time includes the shared Set Similarity pass unless it runs on the
+    * integrating set.
+    */
   def runAll(
       spark: SparkSession,
       repo: TableRepo,
       index: DataFrame,
       sources: Seq[SourceTable],
       intSets: Map[String, Seq[String]],
-      methods: Seq[MethodSpec],
-      cfg: RunConfig = RunConfig(),
-      verbose: Boolean = true): Seq[SourceRun] = {
-
+      methods: Seq[Method],
+      verbose: Boolean = true): Seq[SourceRun] =
     sources.flatMap { source =>
-      val idx =
-        if (cfg.excludeSelf) index.where(col("table") =!= source.name) else index
-
-      // One Set Similarity pass shared by every non-int-set method.
-      val (candidates, discMillis) = time {
-        SetSimilarity.findCandidates(repo, idx, source, spark, cfg.genT.setSim)
+      val (in, discMillis) = time {
+        new Method.Inputs(spark, repo, index, source, intSets.getOrElse(source.name, Seq.empty))
       }
-      lazy val candidateDfs =
-        candidates.map(c => SetSimilarity.renamed(repo, c))
-      lazy val intSetDfs = intSets.get(source.name) match {
-        case Some(names) if names.nonEmpty => intSetInputs(repo, idx, names, source, spark)
-        case _ => Seq.empty
-      }
-
       methods.map { m =>
-        val inputs = if (m.intSet) intSetDfs else candidateDfs
-        val (outOpt, ms) = time {
-          m.algo match {
-            case "gen-t" =>
-              val r = GenT.reclaimFromCandidates(repo, candidates, source, spark, cfg.genT)
-              Some(r.reclaimed)
-            case "alite" => Alite.run(inputs, cfg.alite)
-            case "alite-ps" => Alite.runPs(inputs, source, cfg.alite)
-            case "autopipeline" => AutoPipelineStar.run(inputs, source, spark, cfg.autoPipeline)
-            case "ver" => Ver.run(inputs, source, spark, cfg.ver)
-            case other => sys.error(s"unknown algo $other")
-          }
-        }
+        val (outOpt, ms) = time(m.run(in))
         val totalMs = if (m.intSet) ms else ms + discMillis
         val scores = outOpt.map(out => Metrics.all(out, source))
         if (verbose) {
@@ -133,7 +70,6 @@ object Harness {
         SourceRun(source.name, m.label, scores, totalMs)
       }
     }
-  }
 
   final case class Agg(
       method: String,

@@ -5,7 +5,9 @@ import repro.{Fixtures, SparkSpec}
 import repro.core.Metrics
 import repro.lake.{LakeIndex, SourceTable, TableRepo}
 
-/** Experiment harness: method dispatch, aggregation, formatting. */
+/** Experiment harness: method dispatch, aggregation, formatting, and the
+  * logic of the paper tables that is not a method run.
+  */
 class HarnessSpec extends SparkSpec {
 
   private lazy val source = Fixtures.figure3Source(spark)
@@ -39,7 +41,7 @@ class HarnessSpec extends SparkSpec {
   test("int-set methods receive the renamed integrating set") {
     val runs = Harness.runAll(spark, repo, index, Seq(source),
       Map(source.name -> Seq("A", "D")),
-      Seq(Harness.MethodSpec("ALITE-PS w/ int. set", "alite-ps", intSet = true)),
+      Seq(Method.AlitePs(intSet = true)),
       verbose = false)
     assert(runs.head.scores.isDefined)
     assert(runs.head.scores.get.recall > 0.5)
@@ -81,9 +83,52 @@ class HarnessSpec extends SparkSpec {
       Map("fig3_source" -> source.df, "A" -> Fixtures.tableA(spark)))
     val idx = LakeIndex.build(selfRepo, spark)
     val runs = Harness.runAll(spark, selfRepo, idx, Seq(source), Map.empty,
-      Seq(Harness.MethodSpec("Gen-T", "gen-t", intSet = false)),
-      Harness.RunConfig(excludeSelf = true), verbose = false)
+      Seq(Method.GenT), verbose = false)
     // Only table A remains; ID0/ID2 tuples (not fully in A) can't be perfect.
     assert(runs.head.scores.get.recall < 1.0)
+  }
+
+  test("method labels name the paper's rows") {
+    assert(Harness.TableIIIMethods.map(_.label) == Seq("ALITE", "ALITE w/ int. set",
+      "ALITE-PS", "ALITE-PS w/ int. set", "Auto-Pipeline*", "Auto-Pipeline* w/ int. set",
+      "Ver w/ int. set", "Gen-T"))
+    assert(Harness.TableIIMethods.forall(Harness.TableIIIMethods.contains))
+    assert(Harness.TableIVMethods.forall(m => !m.intSet && Harness.TableIIIMethods.contains(m)))
+  }
+
+  private def scored(cells: Long) = Some(Metrics.Scores(1, 1, 0, 0, 1, cells, 10))
+
+  test("Table IV aggregates the sources every method reclaims non-empty") {
+    val runs = Seq(
+      Harness.SourceRun("s1", "A", scored(10), 1),
+      Harness.SourceRun("s1", "B", scored(4), 1),
+      Harness.SourceRun("s2", "A", scored(10), 1),
+      Harness.SourceRun("s2", "B", None, 1),
+      Harness.SourceRun("s3", "A", scored(0), 1),
+      Harness.SourceRun("s3", "B", scored(3), 1))
+    val (common, kept) = Experiments.commonSources(runs)
+    assert(common == Set("s1"))
+    assert(kept == runs.take(2))
+  }
+
+  test("Table IV aggregates every run when no source is common") {
+    val runs = Seq(
+      Harness.SourceRun("s1", "A", scored(10), 1),
+      Harness.SourceRun("s1", "B", None, 1),
+      Harness.SourceRun("s2", "A", scored(0), 1))
+    val (common, kept) = Experiments.commonSources(runs)
+    assert(common.isEmpty)
+    assert(kept == runs)
+  }
+
+  test("Table I's statistics of the Figure 3 lake match hand counts") {
+    val s = Experiments.lakeStats("Figure 3", repo)
+    // A (3 columns), B (2), C (2) and D (4), three rows each.
+    assert((s.name, s.tables, s.columns, s.avgRows) == ("Figure 3", 4, 11L, 3L))
+    val files = Files.walk(java.nio.file.Paths.get(repo.root, "tables"))
+    try {
+      val bytes = files.filter(Files.isRegularFile(_)).mapToLong(Files.size(_)).sum
+      assert(s.sizeMb == bytes / 1e6)
+    } finally files.close()
   }
 }

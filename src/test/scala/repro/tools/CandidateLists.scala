@@ -5,6 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.benchgen.TpTr
 import repro.core.{GenT, Metrics}
 import repro.discovery.SetSimilarity
+import repro.harness.Profile
 
 /** Prints, for every TP-TR Small source, Set Similarity's candidate list
   * as (table, mapping, score) and Gen-T's originating tables in pick
@@ -17,8 +18,8 @@ import repro.discovery.SetSimilarity
   * }}}
   *
   * The lake is built under `lakeDir` (a fresh temporary directory when
-  * absent; an existing TP-TR lake there is reused). Spark runs as in
-  * `TpTrSpec`: local[*], 8 shuffle partitions, broadcast joins off.
+  * absent; an existing TP-TR lake there is reused). Spark runs with the
+  * bench profile's settings ([[Profile.Bench]]).
   */
 object CandidateLists {
 
@@ -27,13 +28,7 @@ object CandidateLists {
     */
   def onTpTrSmall(appName: String, args: Array[String])(
       body: (SparkSession, TpTr.Benchmark) => Unit): Unit = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(appName)
-      .config("spark.sql.shuffle.partitions", "8")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    spark.sparkContext.setLogLevel("ERROR")
+    val spark = Profile.Bench.session(appName)
     try {
       val root = args.headOption.getOrElse(Files.createTempDirectory("tptr").toString)
       body(spark, TpTr.build(spark, root, TpTr.Small))

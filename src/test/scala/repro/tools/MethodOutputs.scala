@@ -3,10 +3,8 @@ package repro.tools
 import java.nio.charset.StandardCharsets.UTF_8
 import java.security.MessageDigest
 import org.apache.spark.sql.DataFrame
-import repro.baselines.{Alite, AutoPipelineStar, Ver}
-import repro.core.{GenT, Metrics}
-import repro.discovery.SetSimilarity
-import repro.harness.Harness
+import repro.core.Metrics
+import repro.harness.{Harness, Method}
 
 /** Prints, for every TP-TR Small source and every Table III method, the
   * method's output as its columns, row count, a SHA-256 digest of its
@@ -19,11 +17,12 @@ import repro.harness.Harness
   * sbt "Test/runMain repro.tools.MethodOutputs [lakeDir]"
   * }}}
   *
-  * Inputs are the ones `Harness.runAll` gives each method: the renamed
-  * Set Similarity candidates, or the renamed integrating set for the
-  * "w/ int. set" rows. The pairs of [[Skipped]] are printed as `SKIPPED`
-  * without running them. Lake and Spark set-up are
-  * [[CandidateLists.onTpTrSmall]]'s; each pair's wall time goes to stderr.
+  * Each method runs through [[Method.run]] on the inputs `Harness.runAll`
+  * gives it: the renamed Set Similarity candidates, or the renamed
+  * integrating set for the "w/ int. set" rows. The pairs of [[Skipped]]
+  * are printed as `SKIPPED` without running them. Lake and Spark set-up
+  * are [[CandidateLists.onTpTrSmall]]'s; each pair's wall time goes to
+  * stderr.
   */
 object MethodOutputs {
 
@@ -57,22 +56,12 @@ object MethodOutputs {
   def main(args: Array[String]): Unit = CandidateLists.onTpTrSmall("method-outputs", args) {
     (spark, bench) =>
       bench.sources.foreach { src =>
-        val cands = SetSimilarity.findCandidates(bench.repo, bench.index, src, spark)
-        lazy val candidateDfs = cands.map(c => SetSimilarity.renamed(bench.repo, c))
-        lazy val intSetDfs = bench.intSets.get(src.name).filter(_.nonEmpty)
-          .map(names => Harness.intSetInputs(bench.repo, bench.index, names, src, spark))
-          .getOrElse(Seq.empty)
+        val in = new Method.Inputs(spark, bench.repo, bench.index, src,
+          bench.intSets.getOrElse(src.name, Seq.empty))
         Harness.TableIIIMethods.foreach { m =>
           val line = if (Skipped((src.name, m.label))) "SKIPPED" else {
-            val inputs = if (m.intSet) intSetDfs else candidateDfs
             val t0 = System.nanoTime()
-            val out = m.algo match {
-              case "gen-t" => Some(GenT.reclaimFromCandidates(bench.repo, cands, src, spark).reclaimed)
-              case "alite" => Alite.run(inputs)
-              case "alite-ps" => Alite.runPs(inputs, src)
-              case "autopipeline" => AutoPipelineStar.run(inputs, src, spark)
-              case "ver" => Ver.run(inputs, src, spark)
-            }
+            val out = m.run(in)
             val text = out.fold("TIMEOUT") { df =>
               val s = Metrics.all(df, src)
               s"${describe(df)}\trecall=${s.recall}\tprecision=${s.precision}"
